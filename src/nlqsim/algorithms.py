@@ -55,6 +55,7 @@ from .oracle import OracleSpec, apply_oracle, count_solutions_bruteforce, truth_
 from .statevector import (
     StateVector,
     apply_1q_unitary,
+    block_rows,
     conditional_qubit_state,
     make_rng,
     measure_qubits,
@@ -67,10 +68,10 @@ DEFAULT_GATE_EPS = 1e-6
 RESOLVE_MARGIN = 1e-3  # polar distance from a pole considered resolved
 
 
-@functools.cache
-def _default_gate() -> CompositeNGate:
-    """Table-realized merge gate; built once, shared by default runs."""
-    return ideal_merge_gate()
+@functools.lru_cache(maxsize=8)
+def table_merge_gate(eps: float = 1e-9) -> CompositeNGate:
+    """Table-realized merge gate, built once per tolerance and shared by runs."""
+    return ideal_merge_gate(eps)
 
 
 @dataclass
@@ -135,6 +136,12 @@ class Alg1Config:
     noise_sigma: float = 0.0
     seed: int = 0
     decision_threshold: float = 0.5
+
+    def __post_init__(self):
+        if self.max_applications < 0:
+            raise ValueError(f"max_applications must be >= 0, got {self.max_applications}")
+        if self.max_trials is not None and self.max_trials < 1:
+            raise ValueError(f"max_trials must be >= 1, got {self.max_trials}")
 
     def trial_budget(self) -> int:
         if self.max_trials is not None:
@@ -255,24 +262,25 @@ def run_algorithm1(cfg: Alg1Config) -> RunReport:
         pair = _rotate_pair(pair, ref - m.polar_map(ref), noise)
         apps += 1
 
-    while apps < cfg.max_applications:  # resolution: the unstable center splits the poles
+    while True:  # resolution: the unstable center splits the poles
         theta_act = state_bloch(*pair).theta
-        ref_done = ref <= RESOLVE_MARGIN
-        act_done = crossed_at is None or theta_act >= math.pi - RESOLVE_MARGIN
-        if ref_done and act_done:
+        resolved = ref <= RESOLVE_MARGIN and (
+            crossed_at is None or theta_act >= math.pi - RESOLVE_MARGIN)
+        if resolved or apps >= cfg.max_applications:
             break
         pair = _stretch_pair(pair, _jittered_stretch(m, noise))
         ref = float(m.polar_map(ref))
         apps += 1
         traj.append((apps, bloch_distance(state_bloch(*pair), BlochAngle(ref, 0.0))))
-    else:
-        report.notes.append("application budget exhausted before full resolution")
 
-    record, _ = measure_qubits(StateVector(1, np.array(pair)), [0], rng)
-    report.decision = "solution-exists" if record.outcome_bits == 1 else "no-solution"
     report.applications_used = apps
     report.applications_to_threshold = crossed_at
     report.separation_trajectory = traj
+    if not resolved:  # an unresolved flag would decide by chance: no decision
+        report.notes.append("application budget exhausted before full resolution")
+        return report
+    record, _ = measure_qubits(StateVector(1, np.array(pair)), [0], rng)
+    report.decision = "solution-exists" if record.outcome_bits == 1 else "no-solution"
     report.succeeded = True
     return report
 
@@ -353,9 +361,7 @@ def _flag_one_census(state: StateVector, n: int) -> int:
 
 def _flag_mixedness(state: StateVector, flag: int) -> float:
     """Smallest eigenvalue of the flag's reduced state (0 for a pure flag)."""
-    n = state.num_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    rows = np.moveaxis(psi, flag, n - 1).reshape(-1, 2)
+    rows = block_rows(state, [flag])
     rho = rows.T @ rows.conj()
     eigs = np.linalg.eigvalsh(rho)
     return float(max(0.0, eigs[0].real))
@@ -374,7 +380,7 @@ def run_algorithm2(cfg: Alg2Config) -> RunReport:
             raise ValueError(
                 f"decision variant requires at most one solution, oracle has {s}"
             )
-    gate = cfg.gate if cfg.gate is not None else _default_gate()
+    gate = cfg.gate if cfg.gate is not None else table_merge_gate()
     rng = make_rng(cfg.seed)
     noise = NoiseModel(cfg.noise_sigma, rng)
     report = RunReport()

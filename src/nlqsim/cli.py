@@ -4,7 +4,8 @@ Outputs are deterministic for a fixed seed: reports are JSON documents
 with sorted keys and no timestamps (pass --timing to record wall time),
 tables are tab-separated with a one-line header.
 
-Exit codes: 0 ran and decided, 1 usage or input error, 2 computation
+Exit codes: 0 ran and decided, 1 usage or input error (a ValueError from
+the library, such as a size cap, is reported the same way), 2 computation
 budget or synthesis failure.
 """
 
@@ -27,6 +28,7 @@ from .algorithms import (
     run_algorithm1_count,
     run_algorithm2,
     run_algorithm2_count,
+    table_merge_gate,
 )
 from .gates import (
     PAIR_CASE_INPUTS,
@@ -34,7 +36,6 @@ from .gates import (
     StretchMap,
     SynthesisError,
     build_N,
-    ideal_merge_gate,
 )
 from .oracle import DimacsError, OracleSpec, load_truth_table, parse_dimacs
 from .weinberg import HbarFunction, trajectory
@@ -102,6 +103,13 @@ def _parse_hbar(text: str) -> HbarFunction:
         raise CliError(f"invalid --hbar coefficients {text!r}: {exc}") from exc
 
 
+def _check_budgets(args):
+    if args.max_applications < 0:
+        raise CliError(f"--max-applications must be >= 0, got {args.max_applications}")
+    if args.max_trials is not None and args.max_trials < 1:
+        raise CliError(f"--max-trials must be >= 1, got {args.max_trials}")
+
+
 def _config_echo(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys}
 
@@ -125,7 +133,7 @@ def cmd_solve(args) -> int:
         cfg = Alg2Config(
             n=oracle.num_vars,
             oracle=oracle,
-            gate=ideal_merge_gate(args.eps),
+            gate=table_merge_gate(args.eps),
             noise_sigma=args.noise_sigma,
             seed=args.seed,
         )
@@ -227,7 +235,9 @@ def cmd_separation(args) -> int:
     )
     report = run_algorithm1(cfg)
     if not report.succeeded:
-        sys.stderr.write("separation run exhausted its trial budget\n")
+        # the flag amplitude is recorded once post-selection has succeeded
+        budget = "trial" if report.post_measurement_flag_amplitude is None else "application"
+        sys.stderr.write(f"separation run exhausted its {budget} budget\n")
         return 2
     lines = ["k\tbloch_separation"]
     for k, sep in report.separation_trajectory:
@@ -345,8 +355,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "max_applications"):
+            _check_budgets(args)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # usage, input or library size/limit errors
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except SynthesisError as exc:

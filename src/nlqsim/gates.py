@@ -32,14 +32,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import StateVector, apply_1q_unitary, apply_2q_unitary
+from .statevector import StateVector, _check_unitary, block_rows, from_block_rows
 from .weinberg import (
     HbarFunction,
     PhaseAlignedHbar,
     PhaseAlignmentError,
     PhaseTargetSolution,
-    apply_conditional_nonlinear,
     find_phase_time,
+    lift_pairs,
     omega12,
     phase_aligned_hbar,
 )
@@ -352,27 +352,28 @@ class CompositeNGate:
 
     def apply_to_register(self, state: StateVector, index_q: int, flag_q: int,
                           noise=None) -> StateVector:
+        """One sweep: every stage acts on the (m, 4) rows |index flag>, gathered
+        once; a flag map lifts each (row, index bit) flag pair as a branch."""
+        rows = block_rows(state, (index_q, flag_q))
         for kind, payload in self.stages:
             if kind == "unitary2q":
-                state = apply_2q_unitary(state, index_q, flag_q, payload)
+                rows = rows @ _check_unitary(payload, 4).T
             elif kind == "flag_map":
-                state = apply_conditional_nonlinear(
-                    state, flag_q, lambda rows, m=payload: m.apply_batch(rows, noise=noise)
-                )
+                lift_pairs(rows.reshape(-1, 2),
+                           lambda pairs, m=payload: m.apply_batch(pairs, noise=noise))
             elif kind == "flag_unitary":
-                state = apply_1q_unitary(state, flag_q, payload)
+                rows = (rows.reshape(-1, 2) @ _check_unitary(payload, 2).T).reshape(-1, 4)
             elif kind == "index_unitary":
-                state = apply_1q_unitary(state, index_q, payload)
+                rows = rows @ np.kron(_check_unitary(payload, 2), np.eye(2)).T
             elif kind == "flag_phase":
                 ang = payload if noise is None else noise.perturb(payload)
-                state = apply_1q_unitary(
-                    state, flag_q, np.diag([np.exp(1j * ang), 1.0]).astype(np.complex128)
-                )
+                rows[:, 0::2] *= np.exp(1j * ang)
             else:
                 raise ValueError(f"unknown stage kind {kind!r}")
-        return state
+        return from_block_rows(state, (index_q, flag_q), rows)
 
     def apply_to_pair(self, vec4, noise=None) -> np.ndarray:
+        """The sweep on a lone (index, flag) pair: the m = 1 case."""
         state = StateVector(2, np.asarray(vec4, dtype=np.complex128))
         return self.apply_to_register(state, 0, 1, noise=noise).amplitudes
 
@@ -425,10 +426,8 @@ def build_N(h: HbarFunction | None, eps: float) -> CompositeNGate:
 
     # Calibrate the corrective unitary and the expansion gate against the
     # flag-clear case, whose post-contraction state the chain leaves free.
-    state = StateVector(2, PAIR_CASE_INPUTS[2])
-    state = apply_2q_unitary(state, 0, 1, FOLD_UNITARY)
-    state = apply_conditional_nonlinear(state, 1, n_minus)
-    leftover = state.amplitudes
+    leftover = CompositeNGate([("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)], 0.0,
+                              eps).apply_to_pair(PAIR_CASE_INPUTS[2])
     correct = _pinning_unitary(leftover)
     pinned = correct @ leftover
     stray = math.hypot(abs(pinned[2]), abs(pinned[3]))
@@ -612,10 +611,8 @@ def ideal_merge_gate(eps: float = 1e-9) -> CompositeNGate:
     runs, while build_N remains the constructive realization.
     """
     n_minus = MergeTableMap()
-    state = StateVector(2, PAIR_CASE_INPUTS[2])
-    state = apply_2q_unitary(state, 0, 1, FOLD_UNITARY)
-    state = apply_conditional_nonlinear(state, 1, n_minus)
-    leftover = state.amplitudes
+    leftover = CompositeNGate([("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)], 0.0,
+                              eps).apply_to_pair(PAIR_CASE_INPUTS[2])
     correct = _pinning_unitary(leftover)
     pinned = correct @ leftover
     x, y = complex(pinned[0]), complex(pinned[1])

@@ -162,21 +162,29 @@ def evaluate(oracle, i: int) -> int:
     return 1
 
 
-def _truth_block(var: CnfFormula | TruthTableOracle, inputs: np.ndarray) -> np.ndarray:
-    """Vectorized f over an array of input integers."""
+def _truth_table(var: CnfFormula | TruthTableOracle) -> np.ndarray:
+    """f(i) for every input i, as a boolean array over the 2**n inputs.
+
+    A clause is false exactly on the subcube where all its literals are
+    false: one strided slice of the table with an axis per variable.
+    """
+    n = var.num_vars
     if isinstance(var, TruthTableOracle):
-        out = np.zeros(inputs.shape, dtype=bool)
-        if var.solutions:
-            out = np.isin(inputs, np.asarray(var.solutions, dtype=np.int64))
-        return out
-    out = np.ones(inputs.shape, dtype=bool)
+        table = np.zeros(1 << n, dtype=bool)
+        table[list(var.solutions)] = True
+        return table
+    table = np.ones((2,) * n, dtype=bool)
     for clause in var.clauses:
-        clause_sat = np.zeros(inputs.shape, dtype=bool)
+        falsifying: dict[int, int] = {}
         for lit in clause:
-            bit = (inputs >> (var.num_vars - abs(lit))) & 1
-            clause_sat |= (bit == 1) == (lit > 0)
-        out &= clause_sat
-    return out
+            if falsifying.setdefault(abs(lit) - 1, int(lit < 0)) != int(lit < 0):
+                break  # x or not x: the clause always holds
+        else:
+            sel = [slice(None)] * n
+            for axis, bit in falsifying.items():
+                sel[axis] = bit
+            table[tuple(sel)] = False
+    return table.reshape(-1)
 
 
 def truth_vector(oracle) -> np.ndarray:
@@ -184,7 +192,7 @@ def truth_vector(oracle) -> np.ndarray:
     var = _variant(oracle)
     if var.num_vars > 20:
         raise ValueError("truth_vector capped at 20 variables")
-    return _truth_block(var, np.arange(1 << var.num_vars, dtype=np.int64))
+    return _truth_table(var)
 
 
 def count_solutions_bruteforce(oracle) -> int:
@@ -194,16 +202,13 @@ def count_solutions_bruteforce(oracle) -> int:
         raise ValueError(f"brute-force counting capped at {BRUTE_FORCE_CAP} variables")
     if isinstance(var, TruthTableOracle):
         return len(var.solutions)
-    total = 0
-    chunk = 1 << 20
-    for start in range(0, 1 << var.num_vars, chunk):
-        stop = min(start + chunk, 1 << var.num_vars)
-        total += int(np.count_nonzero(_truth_block(var, np.arange(start, stop, dtype=np.int64))))
-    return total
+    return int(np.count_nonzero(_truth_table(var)))
 
 
 def apply_oracle(state: StateVector, inputs, flag: int, oracle: OracleSpec) -> StateVector:
-    """Coherent query |i, b> -> |i, b xor f(i)>; one counter tick per call."""
+    """Coherent query |i, b> -> |i, b xor f(i)>; one counter tick per call.
+
+    The table of f swaps the flag halves of the (2**flag, 2, rest) view."""
     if not isinstance(oracle, OracleSpec):
         raise TypeError("apply_oracle needs an OracleSpec (it owns the call counter)")
     inputs = [int(q) for q in inputs]
@@ -219,15 +224,17 @@ def apply_oracle(state: StateVector, inputs, flag: int, oracle: OracleSpec) -> S
             f"oracle has {oracle.num_vars} variables but {len(inputs)} input qubits given"
         )
     n = state.num_qubits
-    idx = np.arange(state.dim)
-    m = len(inputs)
-    oracle_in = np.zeros(state.dim, dtype=np.int64)
-    for j, q in enumerate(inputs):
-        oracle_in |= ((idx >> (n - 1 - q)) & 1) << (m - 1 - j)
-    fbits = _truth_block(_variant(oracle), oracle_in)
-    perm = idx ^ (fbits.astype(np.int64) << (n - 1 - flag))
+    # f over the non-flag qubits in register order; spectator qubits broadcast
+    others = [q for q in range(n) if q != flag]
+    f = _truth_table(_variant(oracle)).reshape((2,) * len(inputs))
+    f = f.transpose(np.argsort(inputs)).reshape([2 if q in inputs else 1 for q in others])
+    f = np.broadcast_to(f, (2,) * len(others)).reshape(1 << flag, -1)
+    psi = state.amplitudes.reshape(1 << flag, 2, -1)
+    out = psi.copy()
+    np.copyto(out[:, 0], psi[:, 1], where=f)
+    np.copyto(out[:, 1], psi[:, 0], where=f)
     oracle.call_counter += 1
-    return StateVector(n, state.amplitudes[perm])
+    return StateVector(n, out.reshape(state.dim))
 
 
 def random_oracle(num_vars: int, s: int, rng: np.random.Generator) -> TruthTableOracle:

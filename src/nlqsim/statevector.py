@@ -46,9 +46,9 @@ class StateVector:
             raise ValueError(
                 f"expected {1 << self.num_qubits} amplitudes, got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        norm2 = float(np.vdot(amps, amps).real)  # inf or nan if any amplitude is
+        if not np.isfinite(norm2) and not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("amplitudes must be finite")
-        norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")
         self.amplitudes = amps
@@ -93,21 +93,63 @@ def _check_unitary(u: np.ndarray, dim: int):
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (dim, dim):
         raise ValueError(f"expected {dim}x{dim} matrix, got {u.shape}")
-    if not np.allclose(u @ u.conj().T, np.eye(dim), atol=UNITARY_ATOL):
+    # np.allclose(u u^H, I, atol=UNITARY_ATOL) without its call overhead
+    eye = np.eye(dim)
+    if not np.all(np.abs(u @ u.conj().T - eye) <= UNITARY_ATOL + 1e-5 * eye):
         raise ValueError("matrix is not unitary within 1e-10")
     return u
 
 
+def _layout(state: StateVector, targets) -> tuple[list, list]:
+    """Reshape and transpose that give each target its own trailing axis; runs
+    of other qubits share an axis, so one target q gives (2**q, 2, rest)."""
+    targets = [int(q) for q in targets]
+    if len(set(targets)) != len(targets):
+        raise ValueError("target qubits must be distinct")
+    for q in targets:
+        _check_qubit(state, q)
+    shape, rest, axis_of = [], [], {}
+    for q in range(state.num_qubits):
+        if q in targets:
+            axis_of[q] = len(shape)
+        elif rest and rest[-1] == len(shape) - 1:
+            shape[-1] *= 2
+            continue
+        else:
+            rest.append(len(shape))
+        shape.append(2)
+    return shape, rest + [axis_of[q] for q in targets]
+
+
+def block_rows(state: StateVector, targets) -> np.ndarray:
+    """Amplitude rows (m, 2**k): one row per basis pattern of the other qubits.
+
+    Column c of a row holds the amplitude whose target bits read c, the
+    first listed target being the most significant.  The rows are a copy.
+    """
+    targets = list(targets)
+    shape, perm = _layout(state, targets)
+    return state.amplitudes.reshape(shape).transpose(perm).copy().reshape(-1, 1 << len(targets))
+
+
+def from_block_rows(state: StateVector, targets, rows: np.ndarray) -> StateVector:
+    """Inverse of block_rows: a new state of state's size holding rows."""
+    shape, perm = _layout(state, targets)
+    amps = np.empty(state.dim, dtype=np.complex128)
+    amps.reshape(shape).transpose(perm)[...] = rows.reshape([shape[a] for a in perm])
+    return StateVector(state.num_qubits, amps)
+
+
 def apply_1q_unitary(state: StateVector, q: int, u: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to qubit q (tensor reshape, no full matrix)."""
+    """Apply a 2x2 unitary to qubit q on the strided (2**q, 2, rest) view."""
     _check_qubit(state, q)
     u = _check_unitary(u, 2)
-    n = state.num_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    psi = np.moveaxis(psi, q, 0).reshape(2, -1)
-    psi = u @ psi
-    psi = np.moveaxis(psi.reshape([2] + [2] * (n - 1)), 0, q)
-    return StateVector(n, psi.reshape(state.dim))
+    psi = state.amplitudes.reshape(1 << q, 2, -1)
+    out = np.empty_like(psi)
+    for i in (0, 1):
+        np.multiply(psi[:, 0], u[i, 0], out=out[:, i])
+        out[:, i] += u[i, 1] * psi[:, 1]
+    return StateVector(state.num_qubits, out.reshape(state.dim))
 
 
 def apply_2q_unitary(state: StateVector, q1: int, q2: int, u: np.ndarray) -> StateVector:
@@ -115,17 +157,9 @@ def apply_2q_unitary(state: StateVector, q1: int, q2: int, u: np.ndarray) -> Sta
 
     The matrix acts on basis |b1 b2> where b1 is the bit of q1.
     """
-    _check_qubit(state, q1)
-    _check_qubit(state, q2)
-    if q1 == q2:
-        raise ValueError("q1 and q2 must be distinct")
+    rows = block_rows(state, (q1, q2))
     u = _check_unitary(u, 4)
-    n = state.num_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    psi = np.moveaxis(psi, (q1, q2), (0, 1)).reshape(4, -1)
-    psi = u @ psi
-    psi = np.moveaxis(psi.reshape([2, 2] + [2] * (n - 2)), (0, 1), (q1, q2))
-    return StateVector(n, psi.reshape(state.dim))
+    return from_block_rows(state, (q1, q2), rows @ u.T)
 
 
 def _sorted_qubits(state: StateVector, qs) -> tuple[int, ...]:
@@ -137,23 +171,9 @@ def _sorted_qubits(state: StateVector, qs) -> tuple[int, ...]:
     return qs
 
 
-def _pattern_indices(state: StateVector, qs: tuple[int, ...]) -> np.ndarray:
-    """Pattern index of every basis state, MSB = smallest measured qubit."""
-    n = state.num_qubits
-    idx = np.arange(state.dim)
-    pattern = np.zeros(state.dim, dtype=np.int64)
-    m = len(qs)
-    for j, q in enumerate(qs):
-        bit = (idx >> (n - 1 - q)) & 1
-        pattern |= bit << (m - 1 - j)
-    return pattern
-
-
 def pattern_probabilities(state: StateVector, qs) -> np.ndarray:
     """Marginal Born probabilities for all 2**m patterns of qubits qs."""
-    qs = _sorted_qubits(state, qs)
-    pattern = _pattern_indices(state, qs)
-    return np.bincount(pattern, weights=state.probabilities(), minlength=1 << len(qs))
+    return np.sum(np.abs(block_rows(state, _sorted_qubits(state, qs))) ** 2, axis=0)
 
 
 def probability_of_pattern(state: StateVector, qs, bits: int) -> float:
@@ -167,13 +187,15 @@ def probability_of_pattern(state: StateVector, qs, bits: int) -> float:
 def collapse_onto_pattern(state: StateVector, qs, bits: int) -> tuple[float, StateVector]:
     """Deterministically project onto the given outcome and renormalize."""
     qs = _sorted_qubits(state, qs)
-    pattern = _pattern_indices(state, qs)
-    mask = pattern == bits
-    amps = np.where(mask, state.amplitudes, 0.0)
-    prob = float(np.sum(np.abs(amps) ** 2))
+    if not 0 <= bits < (1 << len(qs)):
+        raise ValueError(f"bit pattern {bits} out of range for {len(qs)} qubits")
+    rows = block_rows(state, qs)
+    prob = float(np.sum(np.abs(rows[:, bits]) ** 2))
     if prob <= 0.0:
         raise ValueError("cannot collapse onto a zero-probability outcome")
-    return prob, StateVector(state.num_qubits, amps / np.sqrt(prob))
+    out = np.zeros_like(rows)
+    out[:, bits] = rows[:, bits] / np.sqrt(prob)
+    return prob, from_block_rows(state, qs, out)
 
 
 def measure_qubits(

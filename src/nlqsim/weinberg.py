@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .statevector import StateVector, _check_qubit
+from .statevector import StateVector, block_rows, from_block_rows
 
 BRANCH_ATOL = 1e-14
 
@@ -269,27 +269,30 @@ def _map_batch(nl_map, pairs: np.ndarray) -> np.ndarray:
     return nl_map(pairs)
 
 
+def lift_pairs(pairs: np.ndarray, nl_map) -> np.ndarray:
+    """Map every branch pair (m, 2) in place at its normalized direction,
+    keeping its weight; pairs of weight below 1e-14 are left untouched."""
+    probs = np.abs(pairs) ** 2
+    weights = probs[:, 0] + probs[:, 1]
+    mask = weights >= BRANCH_ATOL
+    if np.any(mask):
+        scale = np.sqrt(weights[mask])[:, None]
+        mapped = _map_batch(nl_map, pairs[mask] / scale)
+        pairs[mask] = np.asarray(mapped, dtype=np.complex128) * scale
+    return pairs
+
+
 def apply_conditional_nonlinear(state: StateVector, target: int, nl_map) -> StateVector:
     """Preferred-basis lift of a single-qubit map to a register.
 
     For every basis pattern of the non-target qubits, the normalized
     conditional pair is passed through the map and re-embedded with its
-    branch weight unchanged.  Branches with weight below 1e-14 are left
-    untouched.  `nl_map` is either a callable on an (m, 2) array of
-    normalized pairs or an object exposing apply_batch.
+    branch weight unchanged (see lift_pairs).  `nl_map` is either a
+    callable on an (m, 2) array of normalized pairs or an object exposing
+    apply_batch.
     """
-    _check_qubit(state, target)
-    n = state.num_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    rows = np.moveaxis(psi, target, n - 1).reshape(-1, 2).copy()
-    weights = np.sum(np.abs(rows) ** 2, axis=1)
-    mask = weights >= BRANCH_ATOL
-    if np.any(mask):
-        scale = np.sqrt(weights[mask])[:, None]
-        mapped = _map_batch(nl_map, rows[mask] / scale)
-        rows[mask] = np.asarray(mapped, dtype=np.complex128) * scale
-    out = np.moveaxis(rows.reshape([2] * (n - 1) + [2]), n - 1, target)
-    return StateVector(n, out.reshape(state.dim))
+    rows = lift_pairs(block_rows(state, [target]), nl_map)
+    return from_block_rows(state, [target], rows)
 
 
 def apply_conditional_subspace_map(state: StateVector, targets, func) -> StateVector:
@@ -299,22 +302,11 @@ def apply_conditional_subspace_map(state: StateVector, targets, func) -> StateVe
     the block's most significant bit); `func` receives the raw amplitude
     rows (m, 2**k) of the nonempty branches and must preserve row norms.
     """
-    targets = [int(q) for q in targets]
-    if len(set(targets)) != len(targets):
-        raise ValueError("target qubits must be distinct")
-    for q in targets:
-        _check_qubit(state, q)
-    n = state.num_qubits
-    k = len(targets)
-    psi = state.amplitudes.reshape([2] * n)
-    moved = np.moveaxis(psi, targets, range(n - k, n))
-    rows = moved.reshape(-1, 1 << k).copy()
-    weights = np.sum(np.abs(rows) ** 2, axis=1)
-    mask = weights >= BRANCH_ATOL
+    rows = block_rows(state, targets)
+    mask = np.sum(np.abs(rows) ** 2, axis=1) >= BRANCH_ATOL
     if np.any(mask):
         rows[mask] = np.asarray(func(rows[mask]), dtype=np.complex128)
-    out = np.moveaxis(rows.reshape([2] * n), range(n - k, n), targets)
-    return StateVector(n, out.reshape(state.dim))
+    return from_block_rows(state, targets, rows)
 
 
 @dataclass(frozen=True)

@@ -264,3 +264,22 @@ def test_config_validation():
 def test_trial_budget_default_follows_region_extent():
     cfg = Alg1Config(n=3, oracle=spec_for(3, ()), stretch=StretchMap())
     assert cfg.trial_budget() >= math.ceil((math.pi / cfg.stretch.eta) ** 2)
+
+
+def test_algorithm1_application_budget_is_not_success():
+    # n = 15, s = 1 needs more than three stretch applications to resolve
+    report = run_algorithm1(Alg1Config(n=15, oracle=spec_for(15, (1,)), max_applications=3))
+    assert not report.succeeded
+    assert report.decision is None
+    assert report.applications_used == 3
+    assert "application budget exhausted before full resolution" in report.notes
+
+
+def test_algorithm1_budgets_must_be_positive():
+    with pytest.raises(ValueError, match="max_applications"):
+        Alg1Config(n=3, oracle=spec_for(3, (5,)), max_applications=-1)
+    with pytest.raises(ValueError, match="max_trials"):
+        Alg1Config(n=3, oracle=spec_for(3, (5,)), max_trials=0)
+    # zero applications is a valid budget: it fails honestly instead
+    report = run_algorithm1(Alg1Config(n=3, oracle=spec_for(3, (5,)), max_applications=0))
+    assert not report.succeeded and report.decision is None

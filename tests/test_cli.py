@@ -185,3 +185,75 @@ def test_oracle_flags_are_exclusive(capsys):
                            "--truth-table", fx("one_solution.json"))
     assert code == 1
     assert "exactly one" in err
+
+
+def write_table(tmp_path, num_vars, solutions):
+    path = tmp_path / f"tt{num_vars}.json"
+    path.write_text(json.dumps({"num_vars": num_vars, "solutions": solutions}))
+    return str(path)
+
+
+def assert_one_line_error(code, err):
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_solve_alg1_application_budget_exits_2(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "solve", "--algorithm", "alg1",
+                           "--truth-table", write_table(tmp_path, 15, [1]),
+                           "--max-applications", "3")
+    assert code == 2
+    report = json.loads(out)["report"]
+    assert report["succeeded"] is False
+    assert report["decision"] is None
+
+
+def test_separation_names_the_budget_that_ran_out(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "separation", "--truth-table", write_table(tmp_path, 15, [1]),
+                           "--max-applications", "3")
+    assert code == 2
+    assert err == "separation run exhausted its application budget\n"
+    # half the inputs are solutions: post-selection fails at seed 0 with one trial
+    code, _, err = run_cli(capsys, "separation", "--truth-table",
+                           write_table(tmp_path, 3, [0, 1, 2, 3]), "--max-trials", "1")
+    assert code == 2
+    assert err == "separation run exhausted its trial budget\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--max-applications", "-1"), ("--max-trials", "0")])
+@pytest.mark.parametrize("command", [["solve", "--algorithm", "alg1"], ["solve", "--algorithm", "alg2"],
+                                     ["count", "--algorithm", "alg1"], ["separation"]])
+def test_negative_budgets_are_rejected(capsys, command, flag, value):
+    code, out, err = run_cli(capsys, *command, "--truth-table", fx("one_solution.json"), flag, value)
+    assert_one_line_error(code, err)
+    assert flag in err
+    assert out == ""
+
+
+def test_alg2_solve_size_cap_is_a_one_line_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "solve", "--algorithm", "alg2",
+                           "--truth-table", write_table(tmp_path, 15, []))
+    assert_one_line_error(code, err)
+    assert "capped at n = 14" in err
+
+
+def test_alg2_count_size_cap_is_a_one_line_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "count", "--algorithm", "alg2",
+                           "--truth-table", write_table(tmp_path, 11, [1]))
+    assert_one_line_error(code, err)
+    assert "capped at n = 10" in err
+
+
+def test_alg2_solution_guard_is_a_one_line_error(capsys):
+    code, _, err = run_cli(capsys, "solve", "--algorithm", "alg2",
+                           "--truth-table", fx("two_solutions.json"))
+    assert_one_line_error(code, err)
+    assert "at most one solution" in err
+
+
+def test_integrator_step_guard_is_a_one_line_error(capsys):
+    code, _, err = run_cli(capsys, "dynamics", "--t-max", "1e9")
+    assert_one_line_error(code, err)
+    assert "step-count guard" in err
