@@ -30,13 +30,7 @@ from .algorithms import (
     run_algorithm2_count,
     table_merge_gate,
 )
-from .gates import (
-    PAIR_CASE_INPUTS,
-    PAIR_CASE_TARGETS,
-    StretchMap,
-    SynthesisError,
-    build_N,
-)
+from .gates import StretchMap, SynthesisError, build_N
 from .oracle import DimacsError, OracleSpec, load_truth_table, parse_dimacs
 from .weinberg import HbarFunction, trajectory
 
@@ -139,8 +133,9 @@ def cmd_solve(args) -> int:
         )
         report = run_algorithm2(cfg)
     wall = time.monotonic() - started if args.timing else None
-    echo = _config_echo(args, ("algorithm", "seed", "noise_sigma", "eps",
-                               "lam", "eta", "theta0", "threshold"))
+    echo = _config_echo(args, ("algorithm", "seed", "noise_sigma", "eps", "lam", "eta",
+                               "theta0", "threshold", "max_applications", "max_trials"))
+    echo["gate_realization"] = "table" if args.algorithm == "alg2" else None
     _write_text(args.out, _report_document("solve", echo, report.to_dict(), wall))
     return 0 if report.succeeded else 2
 
@@ -170,8 +165,8 @@ def cmd_count(args) -> int:
         )
         report = run_algorithm2_count(cfg)
     wall = time.monotonic() - started if args.timing else None
-    echo = _config_echo(args, ("algorithm", "seed", "noise_sigma",
-                               "lam", "eta", "theta0", "counter_width"))
+    echo = _config_echo(args, ("algorithm", "seed", "noise_sigma", "lam", "eta",
+                               "theta0", "counter_width", "max_applications", "max_trials"))
     _write_text(args.out, _report_document("count", echo, report.to_dict(), wall))
     return 0 if report.succeeded else 2
 
@@ -207,10 +202,7 @@ def cmd_ngate_verify(args) -> int:
     except SynthesisError as exc:
         sys.stderr.write(f"synthesis failed: {exc}\n")
         return 2
-    fidelities = []
-    for case_in, case_target in zip(PAIR_CASE_INPUTS, PAIR_CASE_TARGETS):
-        out = gate.apply_to_pair(case_in)
-        fidelities.append(float(abs(np.vdot(case_target, out)) ** 2))
+    fidelities = list(gate.case_fidelities)
     payload = {
         "case_fidelities": fidelities,
         "fidelity_min": min(fidelities),

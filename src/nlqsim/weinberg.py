@@ -55,6 +55,9 @@ class HbarFunction:
         if not all(math.isfinite(c) for c in coefs):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coefs)
+        # Horner heads and tails, highest power first, for value_and_derivative
+        dcoefs = tuple(k * coefs[k] for k in range(len(coefs) - 1, 0, -1)) or (0.0,)
+        object.__setattr__(self, "_horner", (coefs[-1], coefs[-2::-1], dcoefs[0], dcoefs[1:]))
 
     @property
     def degree(self) -> int:
@@ -68,6 +71,16 @@ class HbarFunction:
         if len(dcoefs) == 0:
             return np.zeros_like(np.asarray(a, dtype=float)) + 0.0 if np.ndim(a) else 0.0
         return npoly.polyval(a, dcoefs)
+
+    def value_and_derivative(self, a: float):
+        """(hbar(a), hbar'(a)) for a float a by scalar Horner; hbar' of a
+        constant profile is exactly 0.0."""
+        hb, tail, hp, dtail = self._horner
+        for c in tail:
+            hb = hb * a + c
+        for c in dtail:
+            hp = hp * a + c
+        return hb, hp
 
 
 @dataclass(frozen=True)
@@ -99,6 +112,12 @@ class PhaseAlignedHbar(HbarFunction):
         az = np.asarray(a, dtype=float) - self.z
         out = 2.0 * az * self._q(a) + az**2 * self.q_slope
         return float(out) if np.ndim(a) == 0 else out
+
+    def value_and_derivative(self, a: float):
+        az = a - self.z
+        sq = az * az  # numpy's az**2 multiplies; it does not call pow
+        q = self.q_at_w + (a - self.w) * self.q_slope
+        return sq * q, 2.0 * az * q + sq * self.q_slope
 
 
 def phase_aligned_hbar(w: float, z: float) -> PhaseAlignedHbar:
@@ -184,7 +203,11 @@ def evolve_integrated(c1: complex, c2: complex, h: HbarFunction, t: float, dt: f
     Independent cross-check for `evolve_closed_form`: the right-hand side
     is assembled from the product rule on h = n*hbar(a) with a evaluated
     from the instantaneous state, so nothing about the frozen-a phase
-    ansatz is assumed.
+    ansatz is assumed.  It steps the real and imaginary parts with the
+    operation order of complex arithmetic (a real factor times a complex
+    number is exact per part), so the result is bitwise that of the
+    complex form; only a part given as -0.0 may come out as a zero of the
+    other sign.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -196,48 +219,41 @@ def evolve_integrated(c1: complex, c2: complex, h: HbarFunction, t: float, dt: f
     if n0 <= 0.0:
         raise ValueError("zero-norm pair cannot be evolved")
 
-    coefs = h.coefficients
-    is_aligned = isinstance(h, PhaseAlignedHbar)
+    vd = h.value_and_derivative
 
-    def rhs(y1: complex, y2: complex):
-        n = (y1.real**2 + y1.imag**2) + (y2.real**2 + y2.imag**2)
-        a = (y2.real**2 + y2.imag**2) / n
-        if is_aligned:
-            hb = h.value(a)
-            hp = h.derivative(a)
-        else:
-            hb = coefs[-1]
-            for c in reversed(coefs[:-1]):
-                hb = hb * a + c
-            if len(coefs) == 1:
-                hp = 0.0
-            else:
-                hp = (len(coefs) - 1) * coefs[-1]
-                for k in range(len(coefs) - 2, 0, -1):
-                    hp = hp * a + k * coefs[k]
-        # dh/dpsi1* = hbar * psi1 + n hbar' * da/dpsi1*,  da/dpsi1* = -a psi1 / n
-        d1 = hb * y1 + n * hp * (-(a / n) * y1)
-        d2 = hb * y2 + n * hp * ((1.0 - a) / n * y2)
-        return -1j * d1, -1j * d2
+    def rhs(p, q, r, s):
+        # -1j * dh/dpsi* on (re, im) parts; squares stay x**2 (libm pow,
+        # which x*x does not always match in the last bit).
+        # dh/dpsi1* = hbar * psi1 + n hbar' * (-(a / n) * psi1)
+        w2 = r**2 + s**2
+        n = (p**2 + q**2) + w2
+        a = w2 / n
+        hb, hp = vd(a)
+        g = n * hp
+        f1 = -(a / n)
+        f2 = (1.0 - a) / n
+        return (hb * q + g * (f1 * q), -(hb * p + g * (f1 * p)),
+                hb * s + g * (f2 * s), -(hb * r + g * (f2 * r)))
 
-    def step(y1, y2, hstep):
-        k1a, k1b = rhs(y1, y2)
-        k2a, k2b = rhs(y1 + 0.5 * hstep * k1a, y2 + 0.5 * hstep * k1b)
-        k3a, k3b = rhs(y1 + 0.5 * hstep * k2a, y2 + 0.5 * hstep * k2b)
-        k4a, k4b = rhs(y1 + hstep * k3a, y2 + hstep * k3b)
-        return (
-            y1 + hstep / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a),
-            y2 + hstep / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b),
-        )
+    def step(p, q, r, s, hstep):
+        h2 = 0.5 * hstep
+        p1, q1, r1, s1 = rhs(p, q, r, s)
+        p2, q2, r2, s2 = rhs(p + h2 * p1, q + h2 * q1, r + h2 * r1, s + h2 * s1)
+        p3, q3, r3, s3 = rhs(p + h2 * p2, q + h2 * q2, r + h2 * r2, s + h2 * s2)
+        p4, q4, r4, s4 = rhs(p + hstep * p3, q + hstep * q3, r + hstep * r3, s + hstep * s3)
+        h6 = hstep / 6.0
+        return (p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4), q + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
+                r + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4), s + h6 * (s1 + 2.0 * s2 + 2.0 * s3 + s4))
 
-    y1, y2 = complex(c1), complex(c2)
+    c1, c2 = complex(c1), complex(c2)
+    y = (c1.real, c1.imag, c2.real, c2.imag)
     nsteps = int(t / dt)
     for _ in range(nsteps):
-        y1, y2 = step(y1, y2, dt)
+        y = step(*y, dt)
     rest = t - nsteps * dt
     if rest > 1e-15:
-        y1, y2 = step(y1, y2, rest)
-    return y1, y2
+        y = step(*y, rest)
+    return complex(y[0], y[1]), complex(y[2], y[3])
 
 
 def trajectory(c1: complex, c2: complex, h: HbarFunction, times, dt: float = 1e-3):
@@ -250,6 +266,9 @@ def trajectory(c1: complex, c2: complex, h: HbarFunction, times, dt: float = 1e-
     times = sorted(float(t) for t in times)
     if times and times[0] < 0.0:
         raise ValueError("times must be nonnegative")
+    # the guard bounds the whole run, not just each segment
+    if times and dt > 0.0 and times[-1] / dt > MAX_INTEGRATION_STEPS:
+        raise ValueError(f"t/dt = {times[-1] / dt:.3g} exceeds the step-count guard")
     rows = []
     y1, y2 = complex(c1), complex(c2)
     t_prev = 0.0
@@ -332,6 +351,7 @@ class PhaseAlignmentError(Exception):
 
 
 GRID_POINT_CAP = 20_000_000
+_PHASE_CELL = 64  # grid points per branch-and-bound cell of the phase search
 
 
 def find_phase_time(h: HbarFunction, phi: float, eps: float,
@@ -342,8 +362,8 @@ def find_phase_time(h: HbarFunction, phi: float, eps: float,
     the gate construction needs exp(-i w1 t) = exp(-i w1' t) =
     exp(-i w2' t) = 1 at those latitudes while exp(-i w2 t) = -1 at the
     lower one.  Tries the analytic single-frequency solution first (exact
-    for phase-aligned profiles), then a dense grid with golden-section
-    refinement.  Raises PhaseAlignmentError when the tolerance cannot be
+    for phase-aligned profiles), then the minimum over a dense grid, found
+    exactly by branch and bound, with golden-section refinement.  Raises PhaseAlignmentError when the tolerance cannot be
     met, which for rationally dependent frequencies (e.g. hbar(a) = a^2 or
     any linear profile) is unavoidable at any horizon.
     """
@@ -388,14 +408,26 @@ def find_phase_time(h: HbarFunction, phi: float, eps: float,
     if npoints > GRID_POINT_CAP:
         step = t_max / GRID_POINT_CAP
         npoints = GRID_POINT_CAP + 1
-    chunk = 1 << 20
-    for start in range(0, npoints, chunk):
-        ts = (start + np.arange(min(chunk, npoints - start))) * step
-        rs = residual(ts)
+    # Exact branch and bound over the grid t_i = i * step: the residual is
+    # Lipschitz with constant omega_span, so a cell of _PHASE_CELL points holds
+    # no value below r(centre) - omega_span * reach; slack covers the
+    # rounding of w * t.  Cells that may beat the incumbent are scanned in
+    # index order, which keeps the first-index tie rule of a full scan.
+    half = _PHASE_CELL // 2
+    ncells = -(-npoints // _PHASE_CELL)
+    centres = residual(np.minimum(np.arange(ncells) * _PHASE_CELL + half, npoints - 1) * step)
+    slack = 1e-9 + 1e-15 * omega_span * t_max
+    bound = min(best_r, float(centres.min())) + slack + omega_span * half * step
+    live = np.flatnonzero(centres <= bound)
+    per_chunk = (1 << 20) // _PHASE_CELL
+    for start in range(0, live.size, per_chunk):
+        idx = (live[start:start + per_chunk, None] * _PHASE_CELL + np.arange(_PHASE_CELL)).ravel()
+        idx = idx[idx < npoints]
+        rs = residual(idx * step)
         i = int(np.argmin(rs))
         if rs[i] < best_r:
             best_r = float(rs[i])
-            best_t = float(ts[i])
+            best_t = float(idx[i] * step)
 
     # golden-section refinement around the best grid point
     lo = max(0.0, best_t - step)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -257,3 +258,26 @@ def test_integrator_step_guard_is_a_one_line_error(capsys):
     code, _, err = run_cli(capsys, "dynamics", "--t-max", "1e9")
     assert_one_line_error(code, err)
     assert "step-count guard" in err
+
+
+def test_dynamics_step_guard_covers_the_whole_trajectory(capsys):
+    # 1e6 steps per output interval pass a per-segment guard, yet the run
+    # would take 1e9 steps in all; it must be refused before any work
+    started = time.monotonic()
+    code, _, err = run_cli(capsys, "dynamics", "--t-max", "1e6", "--points", "1001")
+    assert time.monotonic() - started < 0.5
+    assert_one_line_error(code, err)
+    assert "step-count guard" in err
+
+
+def test_reports_echo_budgets_and_gate_realization(capsys):
+    for command, algorithm, gate in [("solve", "alg1", None), ("solve", "alg2", "table"),
+                                     ("count", "alg1", None), ("count", "alg2", None)]:
+        code, out, _ = run_cli(capsys, command, "--algorithm", algorithm,
+                               "--truth-table", fx("one_solution.json"),
+                               "--max-applications", "50", "--max-trials", "7")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["max_applications"] == 50 and config["max_trials"] == 7
+        assert ("gate_realization" in config) == (command == "solve")
+        assert config.get("gate_realization") == gate

@@ -1,11 +1,15 @@
-"""Differential tests: every fast register path against a slow, obvious one.
+"""Differential tests: every fast path against a slow, obvious one.
 
 The references below build dense matrices, evaluate the oracle one input
-at a time and apply the merge gate stage by stage; none of them shares
-code with the strided kernels, the oracle table or the row-batched sweep.
+at a time, apply the merge gate stage by stage, integrate on Python
+complex numbers and scan every point of the phase-search grid; none of
+them shares code with the strided kernels, the oracle table, the
+row-batched sweep, the real-arithmetic RK4 or the branch and bound.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,7 +31,18 @@ from nlqsim.statevector import (
     apply_2q_unitary,
     make_rng,
 )
-from nlqsim.weinberg import apply_conditional_nonlinear
+from nlqsim import weinberg
+from nlqsim.weinberg import (
+    HbarFunction,
+    PhaseAlignedHbar,
+    PhaseAlignmentError,
+    PhaseTargetSolution,
+    apply_conditional_nonlinear,
+    evolve_integrated,
+    find_phase_time,
+    omega12,
+    phase_aligned_hbar,
+)
 
 
 def random_state(rng, n):
@@ -205,3 +220,233 @@ def test_sweep_on_a_pair_is_the_m_equals_one_case():
         vec = random_state(rng, 2).amplitudes
         ref = stage_by_stage(gate, StateVector(2, vec), 0, 1, None).amplitudes
         assert np.allclose(gate.apply_to_pair(vec), ref, rtol=0, atol=1e-12)
+
+
+# -- RK4 integrator: real-arithmetic steps against complex arithmetic --------
+
+def complex_rk4(c1, c2, h, t, dt):
+    """The integrator written on Python complex numbers, Horner inline."""
+    coefs = h.coefficients
+    is_aligned = isinstance(h, PhaseAlignedHbar)
+
+    def rhs(y1, y2):
+        n = (y1.real**2 + y1.imag**2) + (y2.real**2 + y2.imag**2)
+        a = (y2.real**2 + y2.imag**2) / n
+        if is_aligned:
+            hb, hp = h.value(a), h.derivative(a)
+        else:
+            hb = coefs[-1]
+            for c in reversed(coefs[:-1]):
+                hb = hb * a + c
+            hp = 0.0
+            if len(coefs) > 1:
+                hp = (len(coefs) - 1) * coefs[-1]
+                for k in range(len(coefs) - 2, 0, -1):
+                    hp = hp * a + k * coefs[k]
+        d1 = hb * y1 + n * hp * (-(a / n) * y1)
+        d2 = hb * y2 + n * hp * ((1.0 - a) / n * y2)
+        return -1j * d1, -1j * d2
+
+    def step(y1, y2, hs):
+        k1a, k1b = rhs(y1, y2)
+        k2a, k2b = rhs(y1 + 0.5 * hs * k1a, y2 + 0.5 * hs * k1b)
+        k3a, k3b = rhs(y1 + 0.5 * hs * k2a, y2 + 0.5 * hs * k2b)
+        k4a, k4b = rhs(y1 + hs * k3a, y2 + hs * k3b)
+        return (y1 + hs / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a),
+                y2 + hs / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b))
+
+    y1, y2 = complex(c1), complex(c2)
+    nsteps = int(t / dt)
+    for _ in range(nsteps):
+        y1, y2 = step(y1, y2, dt)
+    if t - nsteps * dt > 1e-15:
+        y1, y2 = step(y1, y2, t - nsteps * dt)
+    return y1, y2
+
+
+def bits(y1, y2):
+    """Every float of a result as hex, so a signed zero counts."""
+    return [float.hex(x) for x in (y1.real, y1.imag, y2.real, y2.imag)]
+
+
+def random_pair(rng):
+    z = rng.normal(size=4)
+    z /= np.linalg.norm(z)
+    return complex(z[0], z[1]), complex(z[2], z[3])
+
+
+@pytest.mark.parametrize("coefs", [(0.0, 0.0, 1.0), (0.25, -0.5, 0.3, 0.8), (0.5, 1.5)])
+def test_rk4_bitwise_equals_complex_form_on_dynamics_profiles(coefs):
+    # 10k steps: a square written as x*x instead of x**2 shows up only in
+    # long runs
+    h = HbarFunction(coefs)
+    c1, c2 = random_pair(make_rng(len(coefs)))
+    assert bits(*evolve_integrated(c1, c2, h, 10.0, 1e-3)) == bits(*complex_rk4(c1, c2, h, 10.0, 1e-3))
+
+
+@pytest.mark.parametrize("w, z", [(math.sin(math.pi / 8) ** 2, math.cos(math.pi / 8) ** 2),
+                                  (0.3, 0.7), (0.7, 0.3), (0.05, 0.5)])
+def test_rk4_bitwise_equals_complex_form_on_phase_aligned_profiles(w, z):
+    h = phase_aligned_hbar(w, z)
+    rng = make_rng(int(1000 * w))
+    for c1, c2 in [random_pair(rng), (math.sqrt(1 - w), math.sqrt(w))]:
+        assert bits(*evolve_integrated(c1, c2, h, 1.5, 1e-3)) == bits(*complex_rk4(c1, c2, h, 1.5, 1e-3))
+
+
+@pytest.mark.parametrize("c", [-1.5, 0.0, 2.0])
+def test_rk4_bitwise_equals_complex_form_on_constant_profiles(c):
+    h = HbarFunction((c,))
+    assert h.value_and_derivative(0.3)[1].hex() == "0x0.0p+0"  # 0.0, not 0 * c
+    for c1, c2 in [random_pair(make_rng(5)), (0.6, 0.8), (0.6j, 0.8)]:
+        assert bits(*evolve_integrated(c1, c2, h, 0.5, 1e-3)) == bits(*complex_rk4(c1, c2, h, 0.5, 1e-3))
+
+
+@pytest.mark.parametrize("c1, c2", [(0.0, 0.6 + 0.8j), (0.6 - 0.8j, 0.0), (0.0j, 1.0), (0.8, 0.6j)])
+def test_rk4_bitwise_equals_complex_form_with_zero_parts_and_a_remainder_step(c1, c2):
+    for coefs in [(0.0, 0.0, 1.0), (0.3, -1.2), (-0.7,), (0.1, -0.4, 0.3, 0.2)]:
+        h = HbarFunction(coefs)
+        for t, dt in [(0.5037, 1e-3), (0.0004, 1e-3), (0.0, 1e-3)]:
+            assert bits(*evolve_integrated(c1, c2, h, t, dt)) == bits(*complex_rk4(c1, c2, h, t, dt))
+
+
+# -- phase-time search: branch and bound against the dense scan ------------
+
+def dense_phase_search(h, phi, eps, t_max):
+    """find_phase_time with every grid point evaluated (same grid, same
+    tie rule, same golden-section refinement)."""
+    u, v = math.sin(phi) ** 2, math.cos(phi) ** 2
+    w1u, w2u = omega12(h, u)
+    w1v, w2v = omega12(h, v)
+
+    def residual(t):
+        t = np.asarray(t, dtype=float)
+        r = np.abs(np.exp(-1j * w1u * t) - 1.0)
+        r = np.maximum(r, np.abs(np.exp(-1j * w2u * t) + 1.0))
+        r = np.maximum(r, np.abs(np.exp(-1j * w1v * t) - 1.0))
+        return np.maximum(r, np.abs(np.exp(-1j * w2v * t) - 1.0))
+
+    def solution(t):
+        return PhaseTargetSolution(float(t), float(residual(t)), float(phi))
+
+    if float(residual(0.0)) <= eps:
+        return solution(0.0)
+    best_t, best_r = 0.0, float(residual(0.0))
+    if w2u != 0.0:
+        t_c = math.pi / abs(w2u)
+        if t_c <= t_max and float(residual(t_c)) <= eps:
+            return solution(t_c)
+        if t_c <= t_max and float(residual(t_c)) < best_r:
+            best_t, best_r = t_c, float(residual(t_c))
+    omega_span = max(abs(w1u), abs(w2u), abs(w1v), abs(w2v))
+    if omega_span == 0.0:
+        raise PhaseAlignmentError(t_max, best_r)
+    step = eps / (10.0 * omega_span)
+    npoints = int(t_max / step) + 1
+    if npoints > weinberg.GRID_POINT_CAP:
+        step = t_max / weinberg.GRID_POINT_CAP
+        npoints = weinberg.GRID_POINT_CAP + 1
+    for start in range(0, npoints, 1 << 20):
+        ts = (start + np.arange(min(1 << 20, npoints - start))) * step
+        rs = residual(ts)
+        i = int(np.argmin(rs))
+        if rs[i] < best_r:
+            best_r, best_t = float(rs[i]), float(ts[i])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = max(0.0, best_t - step), min(t_max, best_t + step)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = float(residual(c)), float(residual(d))
+    for _ in range(200):
+        if b - a < 1e-15 * max(1.0, b):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = float(residual(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = float(residual(d))
+    t_ref = c if fc < fd else d
+    if float(residual(t_ref)) < best_r:
+        best_t, best_r = float(t_ref), float(residual(t_ref))
+    if best_r <= eps:
+        return solution(best_t)
+    raise PhaseAlignmentError(t_max, best_r)
+
+
+def search_outcome(search, *args):
+    try:
+        sol = search(*args)
+    except PhaseAlignmentError as exc:
+        return ("no solution", exc.best_residual.hex(), str(exc))
+    return ("solution", sol.t_star.hex(), sol.residual.hex())
+
+
+def assert_search_matches_dense_scan(h, phi, eps, t_max):
+    want = search_outcome(dense_phase_search, h, phi, eps, t_max)
+    assert search_outcome(find_phase_time, h, phi, eps, t_max) == want
+    return want[0]
+
+
+def no_solution_cubic(eps, rng):
+    """Cubic with hbar'(u) = 0 at the contraction latitude u of `ngate-verify
+    --eps eps`: there w1(u) = w2(u), so no time aligns the phases.  Scaled to
+    a largest operating frequency of 0.5, as the synth benchmark draws them."""
+    u = math.sin((math.pi - min(math.sqrt(eps) / 2.0, 0.5)) / 4.0) ** 2
+    c0 = float(rng.uniform(0.2, 1.0)) * (1 if rng.integers(0, 2) else -1)
+    c2, c3 = (float(x) for x in rng.uniform(-1.0, 1.0, size=2))
+    h = HbarFunction((c0, -(2.0 * c2 * u + 3.0 * c3 * u * u), c2, c3))
+    span = max(abs(w) for a in (u, 1.0 - u) for w in omega12(h, a))
+    return HbarFunction(tuple(c * 0.5 / span for c in h.coefficients))
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_phase_search_matches_dense_scan_on_no_solution_cubics(seed):
+    rng = make_rng(seed)
+    eps = 10.0 ** -(1.0 + rng.uniform())
+    offset = min(math.sqrt(eps) / 2.0, 0.5)  # the contraction pass of build_N
+    h = no_solution_cubic(eps, rng)
+    phi = (math.pi - offset) / 4.0
+    assert assert_search_matches_dense_scan(h, phi, max(offset / 10.0, 1e-12), 2000.0) == "no solution"
+
+
+@pytest.mark.parametrize("coefs, eps, t_max, kind", [
+    ((0.0, 0.0, 1.0), 1e-2, 500.0, "no solution"),
+    ((0.0, 0.0, 1.0), 0.3, 2000.0, "no solution"),
+    ((0.3, -0.7, 1.1, 0.4), 0.5, 2000.0, "solution"),
+    ((0.3, -0.7, 1.1, 0.4), 0.05, 2000.0, "no solution"),
+    ((0.1, -0.4, 0.3, 0.2), 1e-3, 300.0, "no solution"),
+])
+def test_phase_search_matches_dense_scan(coefs, eps, t_max, kind):
+    assert assert_search_matches_dense_scan(HbarFunction(coefs), math.pi / 8, eps, t_max) == kind
+
+
+@dataclass(frozen=True)
+class TwoLevelHbar(HbarFunction):
+    """Flat at each latitude: w1 = w2 = c below a = 1/2 and 2c above."""
+
+    def value(self, a):
+        return self.coefficients[0] * (1.0 if a < 0.5 else 2.0)
+
+    def derivative(self, a):
+        return 0.0
+
+
+def test_phase_search_keeps_the_first_of_two_equal_grid_minima():
+    # Frequencies (1, 1, 2, 2): the residual at grid index 2i repeats the
+    # phase of index i bit for bit, and i = 419 sits next to phase pi/3,
+    # where both points are the grid minimum.
+    h, phi, eps, t_max = TwoLevelHbar((1.0,)), math.pi / 8, 0.05, 2.5
+    ts = np.arange(1001) * (eps / 20.0)
+    r = np.abs(np.exp(-1j * ts) - 1.0)
+    r = np.maximum(r, np.abs(np.exp(-1j * ts) + 1.0))
+    r = np.maximum(r, np.abs(np.exp(-2j * ts) - 1.0))
+    assert list(np.flatnonzero(r == r.min())) == [419, 838]
+    assert assert_search_matches_dense_scan(h, phi, eps, t_max) == "no solution"
+
+
+def test_phase_search_matches_dense_scan_on_a_capped_grid(monkeypatch):
+    monkeypatch.setattr(weinberg, "GRID_POINT_CAP", 50_000)
+    h = HbarFunction((0.3, -0.7, 1.1, 0.4))
+    for eps, kind in [(1e-3, "no solution"), (0.5, "solution")]:
+        assert assert_search_matches_dense_scan(h, math.pi / 8, eps, 2000.0) == kind
