@@ -44,7 +44,6 @@ import numpy as np
 from .gates import (
     BlochAngle,
     CompositeNGate,
-    H_GATE,
     StretchMap,
     bloch_distance,
     ideal_merge_gate,
@@ -54,7 +53,7 @@ from .gates import (
 from .oracle import OracleSpec, apply_oracle, count_solutions_bruteforce, truth_vector
 from .statevector import (
     StateVector,
-    apply_1q_unitary,
+    apply_hadamard_layer,
     block_rows,
     conditional_qubit_state,
     make_rng,
@@ -62,7 +61,7 @@ from .statevector import (
     new_basis_state,
     probability_of_pattern,
 )
-from .weinberg import apply_conditional_nonlinear, apply_conditional_subspace_map
+from .weinberg import apply_conditional_subspace_map, lift_pairs
 
 DEFAULT_GATE_EPS = 1e-6
 RESOLVE_MARGIN = 1e-3  # polar distance from a pole considered resolved
@@ -177,9 +176,8 @@ def _rotate_pair(pair, bloch_delta: float, noise: NoiseModel | None = None):
 
 def _stretch_pair(pair, m: StretchMap):
     """Stretch-map application through the preferred-basis prescription."""
-    sv = StateVector(1, np.array(pair, dtype=np.complex128))
-    sv = apply_conditional_nonlinear(sv, 0, m)
-    return complex(sv.amplitudes[0]), complex(sv.amplitudes[1])
+    row = lift_pairs(np.array([pair], dtype=np.complex128), m)[0]
+    return complex(row[0]), complex(row[1])
 
 
 def _jittered_stretch(m: StretchMap, noise: NoiseModel) -> StretchMap:
@@ -199,12 +197,9 @@ def _prepare_flag_state(n: int, oracle: OracleSpec, rng, max_trials: int):
     trials = 0
     while trials < max_trials:
         trials += 1
-        state = new_basis_state(n + 1, 0)
-        for q in range(n):
-            state = apply_1q_unitary(state, q, H_GATE)
+        state = apply_hadamard_layer(new_basis_state(n + 1, 0), range(n))
         state = apply_oracle(state, range(n), n, oracle)
-        for q in range(n):
-            state = apply_1q_unitary(state, q, H_GATE)
+        state = apply_hadamard_layer(state, range(n))
         record, state = measure_qubits(state, range(n), rng)
         if record.outcome_bits == 0:
             _, c0, c1 = conditional_qubit_state(state, n, 0)
@@ -387,9 +382,7 @@ def run_algorithm2(cfg: Alg2Config) -> RunReport:
     calls_before = oracle.call_counter
 
     flag = cfg.n
-    state = new_basis_state(cfg.n + 1, 0)
-    for q in range(cfg.n):
-        state = apply_1q_unitary(state, q, H_GATE)
+    state = apply_hadamard_layer(new_basis_state(cfg.n + 1, 0), range(cfg.n))
     state = apply_oracle(state, range(cfg.n), flag, oracle)
     census = []
     for k in range(cfg.n):
@@ -472,9 +465,7 @@ def run_algorithm2_count(cfg: Alg2Config) -> RunReport:
     report = RunReport()
     calls_before = oracle.call_counter
 
-    state = new_basis_state(cfg.n + width, 0)
-    for q in range(cfg.n):
-        state = apply_1q_unitary(state, q, H_GATE)
+    state = apply_hadamard_layer(new_basis_state(cfg.n + width, 0), range(cfg.n))
     state = _apply_counting_oracle(state, cfg.n, width, oracle)
     counter_qubits = list(range(cfg.n, cfg.n + width))
     try:

@@ -22,6 +22,7 @@ import numpy as np
 
 NORM_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
+_WH_MAX_RUN = 4  # qubits per Walsh-Hadamard matrix in apply_hadamard_layer
 
 
 def make_rng(seed: int | None = 0) -> np.random.Generator:
@@ -100,14 +101,19 @@ def _check_unitary(u: np.ndarray, dim: int):
     return u
 
 
-def _layout(state: StateVector, targets) -> tuple[list, list]:
-    """Reshape and transpose that give each target its own trailing axis; runs
-    of other qubits share an axis, so one target q gives (2**q, 2, rest)."""
+def _distinct_qubits(state: StateVector, targets) -> list[int]:
     targets = [int(q) for q in targets]
     if len(set(targets)) != len(targets):
         raise ValueError("target qubits must be distinct")
     for q in targets:
         _check_qubit(state, q)
+    return targets
+
+
+def _layout(state: StateVector, targets) -> tuple[list, list]:
+    """Reshape and transpose that give each target its own trailing axis; runs
+    of other qubits share an axis, so one target q gives (2**q, 2, rest)."""
+    targets = _distinct_qubits(state, targets)
     shape, rest, axis_of = [], [], {}
     for q in range(state.num_qubits):
         if q in targets:
@@ -152,6 +158,38 @@ def apply_1q_unitary(state: StateVector, q: int, u: np.ndarray) -> StateVector:
     return StateVector(state.num_qubits, out.reshape(state.dim))
 
 
+def _walsh_hadamard_matrices(k_max: int) -> tuple[np.ndarray, ...]:
+    """Real H^{(x)k} for k = 0..k_max, read-only: (-1)**popcount(i & j) / sqrt(2)**k."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    mats = [np.ones((1, 1))]
+    for _ in range(k_max):
+        mats.append(np.kron(mats[-1], h))
+    for m in mats:
+        m.flags.writeable = False
+    return tuple(mats)
+
+
+_WALSH_HADAMARD = _walsh_hadamard_matrices(_WH_MAX_RUN)
+
+
+def apply_hadamard_layer(state: StateVector, qubits) -> StateVector:
+    """Apply H to every listed qubit: one matmul per run of up to _WH_MAX_RUN
+    consecutive qubits q..q+k-1, with the run's real 2**k x 2**k
+    Walsh-Hadamard matrix on the float64 view of the (2**q, 2**k, rest)
+    reshape.  A real matrix transforms real and imaginary parts alike."""
+    qs = sorted(_distinct_qubits(state, qubits))
+    psi = np.ascontiguousarray(state.amplitudes)
+    i = 0
+    while i < len(qs):
+        k = 1
+        while k < _WH_MAX_RUN and i + k < len(qs) and qs[i + k] == qs[i] + k:
+            k += 1
+        x = psi.view(np.float64).reshape(1 << qs[i], 1 << k, -1)
+        psi = np.matmul(_WALSH_HADAMARD[k], x).reshape(-1).view(np.complex128)
+        i += k
+    return StateVector(state.num_qubits, psi if qs else psi.copy())
+
+
 def apply_2q_unitary(state: StateVector, q1: int, q2: int, u: np.ndarray) -> StateVector:
     """Apply a 4x4 unitary to the ordered qubit pair (q1, q2).
 
@@ -171,9 +209,13 @@ def _sorted_qubits(state: StateVector, qs) -> tuple[int, ...]:
     return qs
 
 
+def _marginals(rows: np.ndarray) -> np.ndarray:
+    return np.sum(np.abs(rows) ** 2, axis=0)
+
+
 def pattern_probabilities(state: StateVector, qs) -> np.ndarray:
     """Marginal Born probabilities for all 2**m patterns of qubits qs."""
-    return np.sum(np.abs(block_rows(state, _sorted_qubits(state, qs))) ** 2, axis=0)
+    return _marginals(block_rows(state, _sorted_qubits(state, qs)))
 
 
 def probability_of_pattern(state: StateVector, qs, bits: int) -> float:
@@ -189,7 +231,11 @@ def collapse_onto_pattern(state: StateVector, qs, bits: int) -> tuple[float, Sta
     qs = _sorted_qubits(state, qs)
     if not 0 <= bits < (1 << len(qs)):
         raise ValueError(f"bit pattern {bits} out of range for {len(qs)} qubits")
-    rows = block_rows(state, qs)
+    return _collapse_rows(state, qs, block_rows(state, qs), bits)
+
+
+def _collapse_rows(state: StateVector, qs, rows: np.ndarray, bits: int):
+    """collapse_onto_pattern on the rows block_rows(state, qs) already gathered."""
     prob = float(np.sum(np.abs(rows[:, bits]) ** 2))
     if prob <= 0.0:
         raise ValueError("cannot collapse onto a zero-probability outcome")
@@ -203,9 +249,10 @@ def measure_qubits(
 ) -> tuple[MeasurementRecord, StateVector]:
     """Sample a Born-rule outcome for qubits qs and collapse the state."""
     qs = _sorted_qubits(state, qs)
-    probs = pattern_probabilities(state, qs)
+    rows = block_rows(state, qs)
+    probs = _marginals(rows)
     outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
-    prob, post = collapse_onto_pattern(state, qs, outcome)
+    prob, post = _collapse_rows(state, qs, rows, outcome)
     record = MeasurementRecord(qs, outcome, prob)
     return record, post
 

@@ -294,10 +294,15 @@ def lift_pairs(pairs: np.ndarray, nl_map) -> np.ndarray:
     probs = np.abs(pairs) ** 2
     weights = probs[:, 0] + probs[:, 1]
     mask = weights >= BRANCH_ATOL
-    if np.any(mask):
-        scale = np.sqrt(weights[mask])[:, None]
-        mapped = _map_batch(nl_map, pairs[mask] / scale)
-        pairs[mask] = np.asarray(mapped, dtype=np.complex128) * scale
+    if mask.all():  # map the whole array: no gather or scatter
+        sel = slice(None)
+    elif mask.any():
+        sel = np.flatnonzero(mask)
+    else:
+        return pairs
+    scale = np.sqrt(weights[sel])[:, None]
+    mapped = _map_batch(nl_map, pairs[sel] / scale)
+    pairs[sel] = np.asarray(mapped, dtype=np.complex128) * scale
     return pairs
 
 

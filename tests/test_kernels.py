@@ -1,10 +1,13 @@
 """Differential tests: every fast path against a slow, obvious one.
 
-The references below build dense matrices, evaluate the oracle one input
-at a time, apply the merge gate stage by stage, integrate on Python
-complex numbers and scan every point of the phase-search grid; none of
-them shares code with the strided kernels, the oracle table, the
-row-batched sweep, the real-arithmetic RK4 or the branch and bound.
+The references below build dense matrices, apply H one qubit at a time,
+lift branches through a boolean mask, measure by gathering the rows
+twice, evaluate the oracle one input at a time, apply the merge gate
+stage by stage, integrate on Python complex numbers and scan every point
+of the phase-search grid; none of them shares code with the strided
+kernels, the Walsh-Hadamard layer, the lift's fast paths, the oracle
+table, the row-batched sweep, the real-arithmetic RK4 or the branch and
+bound.
 """
 
 import itertools
@@ -14,8 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from nlqsim.algorithms import NoiseModel
-from nlqsim.gates import build_N, ideal_merge_gate
+from nlqsim.algorithms import NoiseModel, _jittered_stretch, _stretch_pair
+from nlqsim.gates import (
+    H_GATE,
+    ExpandTableMap,
+    MergeTableMap,
+    StretchMap,
+    build_N,
+    ideal_merge_gate,
+)
 from nlqsim.oracle import (
     CnfFormula,
     OracleSpec,
@@ -29,7 +39,11 @@ from nlqsim.statevector import (
     StateVector,
     apply_1q_unitary,
     apply_2q_unitary,
+    apply_hadamard_layer,
+    collapse_onto_pattern,
     make_rng,
+    measure_qubits,
+    pattern_probabilities,
 )
 from nlqsim import weinberg
 from nlqsim.weinberg import (
@@ -40,6 +54,7 @@ from nlqsim.weinberg import (
     apply_conditional_nonlinear,
     evolve_integrated,
     find_phase_time,
+    lift_pairs,
     omega12,
     phase_aligned_hbar,
 )
@@ -108,6 +123,63 @@ def test_2q_kernel_on_eight_qubits():
         u = haar_unitary(rng, 4)
         want = dense_2q(8, q1, q2, u) @ sv.amplitudes
         assert np.allclose(apply_2q_unitary(sv, q1, q2, u).amplitudes, want, rtol=0, atol=1e-12)
+
+
+def hadamard_loop(state, qubits):
+    """H one qubit at a time through the 2x2 kernel."""
+    for q in qubits:
+        state = apply_1q_unitary(state, q, H_GATE)
+    return state
+
+
+def max_abs_diff(a, b):
+    return float(np.max(np.abs(a.amplitudes - b.amplitudes)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_hadamard_layer_matches_the_gate_loop_on_every_qubit_subset(n):
+    # every subset: contiguous runs, gaps, spectators before, between and after
+    rng = make_rng(300 + n)
+    for r in range(n + 1):
+        for subset in itertools.combinations(range(n), r):
+            sv = random_state(rng, n)
+            want = hadamard_loop(sv, subset)
+            assert max_abs_diff(apply_hadamard_layer(sv, subset), want) <= 1e-15
+            assert max_abs_diff(apply_hadamard_layer(sv, subset[::-1]), want) <= 1e-15
+
+
+def test_hadamard_layer_matches_the_gate_loop_in_the_alg1_shape():
+    rng = make_rng(316)
+    sv = random_state(rng, 17)  # inputs 0..15, flag 16
+    got = apply_hadamard_layer(sv, range(16))
+    assert max_abs_diff(got, hadamard_loop(sv, range(16))) <= 1e-15
+    basis = StateVector(17, np.eye(1, 1 << 17, 0, dtype=complex)[0])
+    uniform = apply_hadamard_layer(basis, range(16))
+    assert max_abs_diff(uniform, hadamard_loop(basis, range(16))) <= 1e-15
+
+
+@pytest.mark.parametrize("n, qubits", [
+    (3, (1,)), (6, range(6)), (7, (0, 2, 3, 6)), (9, (1, 2, 3, 4, 5, 6, 7)), (12, range(11)),
+])
+def test_hadamard_layer_twice_is_the_identity(n, qubits):
+    sv = random_state(make_rng(320 + n), n)
+    twice = apply_hadamard_layer(apply_hadamard_layer(sv, qubits), qubits)
+    assert max_abs_diff(twice, sv) <= 1e-15
+
+
+@pytest.mark.parametrize("qubits", [(0, 0), (1, 2, 1), (4,), (0, 5), (-1,)])
+def test_hadamard_layer_rejects_duplicate_or_out_of_range_qubits(qubits):
+    with pytest.raises(ValueError):
+        apply_hadamard_layer(random_state(make_rng(330), 4), qubits)
+
+
+def test_hadamard_layer_returns_a_new_state():
+    sv = random_state(make_rng(331), 3)
+    before = sv.amplitudes.copy()
+    for qubits in ((), (0, 1, 2)):
+        out = apply_hadamard_layer(sv, qubits)
+        out.amplitudes[0] = 0.0
+        assert np.array_equal(sv.amplitudes, before)
 
 
 def random_cnf(rng, n):
@@ -220,6 +292,123 @@ def test_sweep_on_a_pair_is_the_m_equals_one_case():
         vec = random_state(rng, 2).amplitudes
         ref = stage_by_stage(gate, StateVector(2, vec), 0, 1, None).amplitudes
         assert np.allclose(gate.apply_to_pair(vec), ref, rtol=0, atol=1e-12)
+
+
+# -- branch lift: fast paths against the boolean-mask gather and scatter -----
+
+def call_map(nl_map, normalized):
+    if hasattr(nl_map, "apply_batch"):
+        return nl_map.apply_batch(normalized)
+    return nl_map(normalized)
+
+
+def boolean_mask_lift(pairs, nl_map):
+    """The lift with a pairs[mask] gather and scatter for every call."""
+    probs = np.abs(pairs) ** 2
+    weights = probs[:, 0] + probs[:, 1]
+    mask = weights >= 1e-14
+    if np.any(mask):
+        scale = np.sqrt(weights[mask])[:, None]
+        mapped = call_map(nl_map, pairs[mask] / scale)
+        pairs[mask] = np.asarray(mapped, dtype=np.complex128) * scale
+    return pairs
+
+
+def lift_case(kind, rng, m=64):
+    pairs = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    pairs *= rng.uniform(0.01, 1.0, size=(m, 1)) / np.linalg.norm(pairs, axis=1, keepdims=True)
+    if kind == "half-zero":
+        pairs[::2] = 0.0
+    elif kind == "none-mapped":
+        pairs *= 1e-9  # weights at most 1e-18
+        pairs[::3] = 0.0
+    elif kind in ("just-above", "straddle"):
+        target = np.full(m, 1e-14 * (1 + 1e-9))
+        if kind == "straddle":
+            target[1::2] = 1e-14 * (1 - 1e-9)
+        pairs *= np.sqrt(target / np.sum(np.abs(pairs) ** 2, axis=1))[:, None]
+    return pairs
+
+
+LIFT_U = haar_unitary(make_rng(340), 2)
+LIFT_MAPS = {
+    "merge-table": MergeTableMap(),
+    "expand-table": ExpandTableMap(zeta=0.3),
+    "stretch": StretchMap(),
+    "callable": lambda p: p @ LIFT_U.T,
+}
+
+
+@pytest.mark.parametrize("kind", ["all-mapped", "half-zero", "none-mapped", "just-above", "straddle"])
+@pytest.mark.parametrize("map_name", sorted(LIFT_MAPS))
+def test_lift_pairs_is_bitwise_the_boolean_mask_lift(kind, map_name):
+    rng = make_rng(341)
+    pairs = lift_case(kind, rng)
+    weights = np.sum(np.abs(pairs) ** 2, axis=1)
+    expected_mapped = {"all-mapped": 64, "half-zero": 32, "none-mapped": 0,
+                       "just-above": 64, "straddle": 32}[kind]
+    assert np.count_nonzero(weights >= 1e-14) == expected_mapped
+    calls = {"fast": [], "ref": []}
+
+    def recording(tag):
+        nl_map = LIFT_MAPS[map_name]
+
+        def call(normalized):
+            calls[tag].append(normalized.shape)
+            return call_map(nl_map, normalized)
+        return call
+
+    fast_in, ref_in = pairs.copy(), pairs.copy()
+    fast = lift_pairs(fast_in, recording("fast"))
+    ref = boolean_mask_lift(ref_in, recording("ref"))
+    assert fast is fast_in and ref is ref_in
+    assert fast.tobytes() == ref.tobytes()
+    assert calls["fast"] == calls["ref"]
+    if expected_mapped < 64:
+        unmapped = weights < 1e-14
+        assert fast[unmapped].tobytes() == pairs[unmapped].tobytes()
+    # the map objects themselves, not wrapped: the apply_batch route
+    fast = lift_pairs(pairs.copy(), LIFT_MAPS[map_name])
+    assert fast.tobytes() == boolean_mask_lift(pairs.copy(), LIFT_MAPS[map_name]).tobytes()
+
+
+def test_lift_pairs_writes_through_a_row_view():
+    rng = make_rng(342)
+    rows = lift_case("half-zero", rng, m=16).reshape(-1, 4)
+    want = boolean_mask_lift(rows.copy().reshape(-1, 2), StretchMap())
+    lift_pairs(rows.reshape(-1, 2), StretchMap())
+    assert rows.reshape(-1, 2).tobytes() == want.tobytes()
+
+
+def test_stretch_pair_is_bitwise_the_one_qubit_register_lift():
+    rng = make_rng(343)
+    noise = NoiseModel(1e-3, make_rng(344))
+    pairs = [(1 + 0j, 0j), (0j, 1 + 0j), (0j, -1j)]
+    pairs += [tuple(random_state(rng, 1).amplitudes) for _ in range(40)]
+    for pair in pairs:
+        for m in (StretchMap(), _jittered_stretch(StretchMap(), noise)):
+            sv = apply_conditional_nonlinear(StateVector(1, np.array(pair)), 0, m)
+            want = (complex(sv.amplitudes[0]), complex(sv.amplitudes[1]))
+            got = _stretch_pair(pair, m)
+            assert all(type(c) is complex for c in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("n, qs", [(1, [0]), (4, [0, 1, 2]), (5, [4, 1]), (6, [2]), (7, range(7))])
+def test_measure_qubits_is_bitwise_the_two_gather_measurement(n, qs):
+    rng = make_rng(350 + n)
+    for _ in range(6):
+        sv = random_state(rng, n)
+        ref_rng, fast_rng = make_rng(n), make_rng(n)
+        probs = pattern_probabilities(sv, qs)
+        outcome = int(ref_rng.choice(len(probs), p=probs / probs.sum()))
+        prob, post = collapse_onto_pattern(sv, qs, outcome)
+        record, fast_post = measure_qubits(sv, qs, fast_rng)
+        assert record.measured_qubits == tuple(sorted(qs))
+        assert record.outcome_bits == outcome
+        assert record.outcome_probability == prob
+        assert fast_post.amplitudes.tobytes() == post.amplitudes.tobytes()
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # -- RK4 integrator: real-arithmetic steps against complex arithmetic --------
