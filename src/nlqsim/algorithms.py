@@ -81,14 +81,10 @@ class NoiseModel:
     rng: np.random.Generator
 
     def perturb(self, value: float) -> float:
+        """Jitter one gate parameter (rotation angle or stretch exponent)."""
         if self.sigma == 0.0:
             return value
         return float(value + self.rng.normal(0.0, self.sigma))
-
-
-def perturb(noise: NoiseModel, value: float) -> float:
-    """Jitter one gate parameter (rotation angle or stretch exponent)."""
-    return noise.perturb(value)
 
 
 @dataclass
@@ -159,6 +155,15 @@ class Alg2Config:
     seed: int = 0
 
 
+def _checked_oracle(cfg, cap: int, kind: str) -> OracleSpec:
+    """The config's oracle, once cfg.n matches it and is within the run's cap."""
+    if cfg.n != cfg.oracle.num_vars:
+        raise ValueError(f"config n={cfg.n} does not match oracle ({cfg.oracle.num_vars} vars)")
+    if cfg.n > cap:
+        raise ValueError(f"{kind} runs are capped at n = {cap}")
+    return cfg.oracle
+
+
 def flag_theta(n: int, s: int) -> float:
     """Bloch polar angle of the post-selected flag state for s solutions."""
     return 2.0 * math.atan2(s, (1 << n) - s)
@@ -209,11 +214,7 @@ def _prepare_flag_state(n: int, oracle: OracleSpec, rng, max_trials: int):
 
 def run_algorithm1(cfg: Alg1Config) -> RunReport:
     """Decide s = 0 versus s > 0 with the stretch-map amplification."""
-    oracle = cfg.oracle
-    if cfg.n != oracle.num_vars:
-        raise ValueError(f"config n={cfg.n} does not match oracle ({oracle.num_vars} vars)")
-    if cfg.n > 16:
-        raise ValueError("flag-amplification runs are capped at n = 16")
+    oracle = _checked_oracle(cfg, 16, "flag-amplification")
     rng = make_rng(cfg.seed)
     noise = NoiseModel(cfg.noise_sigma, rng)
     m = cfg.stretch
@@ -288,11 +289,7 @@ def run_algorithm1_count(cfg: Alg1Config) -> RunReport:
     map's unstable center, and lets the dynamics push the two boundary
     hypotheses to opposite poles before measuring.
     """
-    oracle = cfg.oracle
-    if cfg.n != oracle.num_vars:
-        raise ValueError(f"config n={cfg.n} does not match oracle ({oracle.num_vars} vars)")
-    if cfg.n > 16:
-        raise ValueError("flag-amplification runs are capped at n = 16")
+    oracle = _checked_oracle(cfg, 16, "flag-amplification")
     rng = make_rng(cfg.seed)
     noise = NoiseModel(cfg.noise_sigma, rng)
     m = cfg.stretch
@@ -364,11 +361,7 @@ def _flag_mixedness(state: StateVector, flag: int) -> float:
 
 def run_algorithm2(cfg: Alg2Config) -> RunReport:
     """Single-query decision via the pair-merge cascade."""
-    oracle = cfg.oracle
-    if cfg.n != oracle.num_vars:
-        raise ValueError(f"config n={cfg.n} does not match oracle ({oracle.num_vars} vars)")
-    if cfg.n > 14:
-        raise ValueError("pair-merge runs are capped at n = 14")
+    oracle = _checked_oracle(cfg, 14, "pair-merge")
     if not cfg.counting:
         s = count_solutions_bruteforce(oracle)
         if s > 1:
@@ -451,11 +444,7 @@ def _merge_counters(rows: np.ndarray, width: int) -> np.ndarray:
 
 def run_algorithm2_count(cfg: Alg2Config) -> RunReport:
     """Exact solution count via the counter-register merge cascade."""
-    oracle = cfg.oracle
-    if cfg.n != oracle.num_vars:
-        raise ValueError(f"config n={cfg.n} does not match oracle ({oracle.num_vars} vars)")
-    if cfg.n > 10:
-        raise ValueError("counting cascade runs are capped at n = 10")
+    oracle = _checked_oracle(cfg, 10, "counting cascade")
     width = cfg.counter_width if cfg.counter_width is not None else cfg.n + 1
     if width < 1:
         raise ValueError("counter_width must be >= 1")

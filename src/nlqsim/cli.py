@@ -108,21 +108,24 @@ def _config_echo(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
+def _alg1_config(args, oracle: OracleSpec, **extra) -> Alg1Config:
+    return Alg1Config(
+        n=oracle.num_vars,
+        oracle=oracle,
+        stretch=_stretch_from(args),
+        max_applications=args.max_applications,
+        max_trials=args.max_trials,
+        noise_sigma=args.noise_sigma,
+        seed=args.seed,
+        **extra,
+    )
+
+
 def cmd_solve(args) -> int:
     oracle = _load_oracle(args)
     started = time.monotonic()
     if args.algorithm == "alg1":
-        cfg = Alg1Config(
-            n=oracle.num_vars,
-            oracle=oracle,
-            stretch=_stretch_from(args),
-            max_applications=args.max_applications,
-            max_trials=args.max_trials,
-            noise_sigma=args.noise_sigma,
-            seed=args.seed,
-            decision_threshold=args.threshold,
-        )
-        report = run_algorithm1(cfg)
+        report = run_algorithm1(_alg1_config(args, oracle, decision_threshold=args.threshold))
     else:
         cfg = Alg2Config(
             n=oracle.num_vars,
@@ -144,16 +147,7 @@ def cmd_count(args) -> int:
     oracle = _load_oracle(args)
     started = time.monotonic()
     if args.algorithm == "alg1":
-        cfg = Alg1Config(
-            n=oracle.num_vars,
-            oracle=oracle,
-            stretch=_stretch_from(args),
-            max_applications=args.max_applications,
-            max_trials=args.max_trials,
-            noise_sigma=args.noise_sigma,
-            seed=args.seed,
-        )
-        report = run_algorithm1_count(cfg)
+        report = run_algorithm1_count(_alg1_config(args, oracle))
     else:
         cfg = Alg2Config(
             n=oracle.num_vars,
@@ -215,17 +209,7 @@ def cmd_ngate_verify(args) -> int:
 
 
 def cmd_separation(args) -> int:
-    oracle = _load_oracle(args)
-    cfg = Alg1Config(
-        n=oracle.num_vars,
-        oracle=oracle,
-        stretch=_stretch_from(args),
-        max_applications=args.max_applications,
-        max_trials=args.max_trials,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-    )
-    report = run_algorithm1(cfg)
+    report = run_algorithm1(_alg1_config(args, _load_oracle(args)))
     if not report.succeeded:
         # the flag amplitude is recorded once post-selection has succeeded
         budget = "trial" if report.post_measurement_flag_amplitude is None else "application"

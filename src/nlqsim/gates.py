@@ -125,8 +125,35 @@ def pair_from_bloch(angle: BlochAngle) -> tuple[complex, complex]:
     )
 
 
+class _PairMap:
+    """The single-pair form of a map whose apply_batch acts on (m, 2) rows."""
+
+    def apply(self, c1: complex, c2: complex, noise=None) -> tuple[complex, complex]:
+        row = self.apply_batch(np.array([[c1, c2]]), noise=noise)[0]
+        return complex(row[0]), complex(row[1])
+
+
+def _unit_phase(z: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """z / |z| elementwise (mag is |z|), and 1 where z is 0."""
+    nonzero = mag > 0
+    return np.where(nonzero, z / np.where(nonzero, mag, 1.0), 1.0)
+
+
+def _polar_remap(pairs: np.ndarray, theta_fn, keep_norm: bool, out=None) -> np.ndarray:
+    """Send each row's polar angle 2 atan2(|c2|, |c1|) through theta_fn,
+    keeping both component phases, into out (a new array by default, or
+    pairs itself).  The image has unit norm, or the row's own with keep_norm."""
+    mag0, mag1 = np.abs(pairs[:, 0]), np.abs(pairs[:, 1])
+    theta = theta_fn(2.0 * np.arctan2(mag1, mag0))
+    scale = np.sqrt(mag0**2 + mag1**2) if keep_norm else 1.0
+    out = np.empty_like(pairs) if out is None else out
+    out[:, 0] = scale * np.cos(theta / 2.0) * _unit_phase(pairs[:, 0], mag0)
+    out[:, 1] = scale * np.sin(theta / 2.0) * _unit_phase(pairs[:, 1], mag1)
+    return out
+
+
 @dataclass(frozen=True)
-class NonlinearMap:
+class NonlinearMap(_PairMap):
     """Norm-preserving single-qubit map built from rotate/phase/evolve stages.
 
     Stage kinds: ("rotate", phi), ("phase", zeta), ("evolve", (hbar, t)).
@@ -162,10 +189,6 @@ class NonlinearMap:
                 raise ValueError(f"unknown stage kind {kind!r}")
         return out
 
-    def apply(self, c1: complex, c2: complex, noise=None) -> tuple[complex, complex]:
-        row = self.apply_batch(np.array([[c1, c2]]), noise=noise)[0]
-        return complex(row[0]), complex(row[1])
-
     def schedule(self) -> list:
         """Angle/time schedule for audit dumps."""
         items = []
@@ -200,11 +223,21 @@ def n_minus_single_pass(c1: complex, c2: complex, phi: float, h: HbarFunction,
     return pass_map.apply(c1, c2)
 
 
-def _alignment_horizon(h: HbarFunction, fallback: float = 2000.0) -> float:
-    """Search horizon wide enough for a phase-aligned profile's exact time."""
-    if isinstance(h, PhaseAlignedHbar):
-        return 4.0 * math.pi / h.omega0
-    return fallback
+def _pass_evolution(h: HbarFunction | None, phi: float, eps: float,
+                    t_max: float | None, what: str) -> tuple:
+    """The ("evolve", (profile, t*)) stage of a sandwich pass at rotation phi,
+    searched to tolerance eps; h None builds a phase-aligned profile for phi,
+    and t_max None a horizon that reaches its exact time."""
+    h_use = h if h is not None else phase_aligned_hbar(math.sin(phi) ** 2, math.cos(phi) ** 2)
+    if t_max is None:
+        t_max = 4.0 * math.pi / h_use.omega0 if isinstance(h_use, PhaseAlignedHbar) else 2000.0
+    try:
+        sol = find_phase_time(h_use, phi, eps=max(eps, 1e-12), t_max=t_max)
+    except PhaseAlignmentError as exc:
+        raise SynthesisError(
+            f"{what} pass at phi={phi:.6g} found no phase solution: {exc}"
+        ) from exc
+    return ("evolve", (h_use, sol.t_star))
 
 
 def build_n_minus(h: HbarFunction | None, eps: float,
@@ -221,19 +254,10 @@ def build_n_minus(h: HbarFunction | None, eps: float,
         raise ValueError("eps must be positive")
     offset = min(eps / 2.0, 0.5)
     phi = (math.pi - offset) / 4.0
-    h_use = h if h is not None else phase_aligned_hbar(math.sin(phi) ** 2, math.cos(phi) ** 2)
-    if t_max is None:
-        t_max = _alignment_horizon(h_use)
-    try:
-        sol = find_phase_time(h_use, phi, eps=max(offset / 10.0, 1e-12), t_max=t_max)
-    except PhaseAlignmentError as exc:
-        raise SynthesisError(
-            f"contraction pass at phi={phi:.6g} found no phase solution: {exc}"
-        ) from exc
     gate = NonlinearMap(
         stages=(
             ("rotate", phi),
-            ("evolve", (h_use, sol.t_star)),
+            _pass_evolution(h, phi, offset / 10.0, t_max, "contraction"),
             ("rotate", -phi),
             ("rotate", math.pi / 2.0),
         ),
@@ -273,17 +297,9 @@ def build_n_plus(h: HbarFunction | None, x: complex, y: complex, eps: float,
     stages: list = [("phase", zeta)]
     phi = math.pi / 4.0 - chi / 2.0
     if phi > 1e-9:
-        h_use = h if h is not None else phase_aligned_hbar(math.sin(phi) ** 2, math.cos(phi) ** 2)
-        if t_max is None:
-            t_max = _alignment_horizon(h_use)
-        try:
-            sol = find_phase_time(h_use, phi, eps=max(eps / 10.0, 1e-12), t_max=t_max)
-        except PhaseAlignmentError as exc:
-            raise SynthesisError(
-                f"expansion pass at phi={phi:.6g} found no phase solution: {exc}"
-            ) from exc
         rho = math.pi / 2.0 - phi
-        stages += [("rotate", rho), ("evolve", (h_use, sol.t_star)), ("rotate", -rho)]
+        stages += [("rotate", rho), _pass_evolution(h, phi, eps / 10.0, t_max, "expansion"),
+                   ("rotate", -rho)]
     gate = NonlinearMap(
         stages=tuple(stages),
         tolerance=eps,
@@ -403,14 +419,57 @@ class CompositeNGate:
         }
 
 
+def _assemble_merge_gate(n_minus, make_n_plus, eps: float, label: str, digits: int,
+                         notes: tuple = ()) -> CompositeNGate:
+    """The merge-gate chain around the contraction flag map n_minus.
+
+    Chain: fold unitary, n_minus on the flag, a corrective unitary pinning
+    the fold's leftover onto the flag axis, the expansion flag map
+    make_n_plus(x, y) calibrated to the pinned leftover x|00> + y|01>, NOT
+    on the flag, a pi/2 rotation (Hadamard) on the index, and a
+    flag-conditioned phase trim so the flag-clear case returns with phase
+    exactly +1.  Every pair-case fidelity must reach 1 - eps, or a
+    SynthesisError names the gate as label and prints the fidelities to
+    the given number of digits.
+    """
+    # Calibrate the corrective unitary and the expansion gate against the
+    # flag-clear case, whose post-contraction state the chain leaves free.
+    leftover = CompositeNGate([("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)], 0.0,
+                              eps).apply_to_pair(PAIR_CASE_INPUTS[2])
+    correct = _pinning_unitary(leftover)
+    pinned = correct @ leftover
+    stray = math.hypot(abs(pinned[2]), abs(pinned[3]))
+    if stray > 1e-9:
+        notes += (f"pinning left {stray:.3g} outside the flag axis",)
+    stages = [
+        ("unitary2q", FOLD_UNITARY),
+        ("flag_map", n_minus),
+        ("unitary2q", correct),
+        ("flag_map", make_n_plus(complex(pinned[0]), complex(pinned[1]))),
+        ("flag_unitary", X_GATE),
+        ("index_unitary", H_GATE),
+    ]
+    out_c = CompositeNGate(stages, 0.0, eps).apply_to_pair(PAIR_CASE_INPUTS[2])
+    mu = float(np.angle(np.vdot(PAIR_CASE_TARGETS[2], out_c)))
+    gate = CompositeNGate(stages + [("flag_phase", -mu)], 0.0, eps, notes=notes)
+    fids = tuple(float(abs(np.vdot(target, gate.apply_to_pair(case))) ** 2)
+                 for case, target in zip(PAIR_CASE_INPUTS, PAIR_CASE_TARGETS))
+    gate.case_fidelities, gate.fidelity = fids, min(fids)
+    if gate.fidelity < 1.0 - eps:
+        raise SynthesisError(
+            f"{label} fidelities "
+            + ", ".join(f"{f:.{digits}f}" for f in fids)
+            + f" fall below 1 - eps = {1.0 - eps:.{digits}f}"
+        )
+    return gate
+
+
 def build_N(h: HbarFunction | None, eps: float) -> CompositeNGate:
     """Assemble the merge gate; every pair-case fidelity must reach 1 - eps.
 
-    Chain: fold unitary, contraction gate on the flag, a corrective
-    unitary pinning the fold's leftover onto the flag axis, an expansion
-    gate calibrated to the measured leftover pair, NOT on the flag, a
-    pi/2 rotation (Hadamard) on the index, and a flag-conditioned phase
-    trim so the flag-clear case returns with phase exactly +1.
+    The chain is that of _assemble_merge_gate, with a contraction sandwich
+    (build_n_minus) and an expansion sandwich (build_n_plus) as its two
+    flag maps, at the tolerances sqrt(eps) and sqrt(eps) / 2.
 
     The expansion stage always uses its own phase-aligned profile (its
     operating latitude depends on the measured leftover state); a
@@ -424,49 +483,13 @@ def build_N(h: HbarFunction | None, eps: float) -> CompositeNGate:
     except SynthesisError as exc:
         raise SynthesisError(f"contraction stage failed: {exc}") from exc
 
-    # Calibrate the corrective unitary and the expansion gate against the
-    # flag-clear case, whose post-contraction state the chain leaves free.
-    leftover = CompositeNGate([("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)], 0.0,
-                              eps).apply_to_pair(PAIR_CASE_INPUTS[2])
-    correct = _pinning_unitary(leftover)
-    pinned = correct @ leftover
-    stray = math.hypot(abs(pinned[2]), abs(pinned[3]))
-    notes = []
-    if stray > 1e-9:
-        notes.append(f"pinning left {stray:.3g} outside the flag axis")
-    try:
-        n_plus = build_n_plus(None, complex(pinned[0]), complex(pinned[1]), budget / 2.0)
-    except SynthesisError as exc:
-        raise SynthesisError(f"expansion stage failed: {exc}") from exc
+    def make_n_plus(x: complex, y: complex) -> NonlinearMap:
+        try:
+            return build_n_plus(None, x, y, budget / 2.0)
+        except SynthesisError as exc:
+            raise SynthesisError(f"expansion stage failed: {exc}") from exc
 
-    stages = [
-        ("unitary2q", FOLD_UNITARY),
-        ("flag_map", n_minus),
-        ("unitary2q", correct),
-        ("flag_map", n_plus),
-        ("flag_unitary", X_GATE),
-        ("index_unitary", H_GATE),
-    ]
-    partial = CompositeNGate(stages=stages, fidelity=0.0, tolerance=eps)
-    out_c = partial.apply_to_pair(PAIR_CASE_INPUTS[2])
-    mu = float(np.angle(np.vdot(PAIR_CASE_TARGETS[2], out_c)))
-    stages = stages + [("flag_phase", -mu)]
-
-    gate = CompositeNGate(stages=stages, fidelity=0.0, tolerance=eps,
-                          notes=tuple(notes))
-    fids = []
-    for case_in, case_target in zip(PAIR_CASE_INPUTS, PAIR_CASE_TARGETS):
-        out = gate.apply_to_pair(case_in)
-        fids.append(float(abs(np.vdot(case_target, out)) ** 2))
-    gate.case_fidelities = tuple(fids)
-    gate.fidelity = min(fids)
-    if gate.fidelity < 1.0 - eps:
-        raise SynthesisError(
-            "merge gate fidelities "
-            + ", ".join(f"{f:.12f}" for f in fids)
-            + f" fall below 1 - eps = {1.0 - eps:.12f}"
-        )
-    return gate
+    return _assemble_merge_gate(n_minus, make_n_plus, eps, "merge gate", 12)
 
 
 @dataclass(frozen=True)
@@ -515,16 +538,8 @@ class StretchMap:
         return float(out) if out.ndim == 0 else out
 
     def apply_batch(self, pairs: np.ndarray, noise=None) -> np.ndarray:
-        pairs = np.asarray(pairs, dtype=np.complex128)
-        mag0, mag1 = np.abs(pairs[:, 0]), np.abs(pairs[:, 1])
-        theta = 2.0 * np.arctan2(mag1, mag0)
-        theta_new = self.polar_map(theta)
-        phase0 = np.where(mag0 > 0, pairs[:, 0] / np.where(mag0 > 0, mag0, 1.0), 1.0)
-        phase1 = np.where(mag1 > 0, pairs[:, 1] / np.where(mag1 > 0, mag1, 1.0), 1.0)
-        out = np.empty_like(pairs)
-        out[:, 0] = np.cos(theta_new / 2.0) * phase0
-        out[:, 1] = np.sin(theta_new / 2.0) * phase1
-        return out
+        return _polar_remap(np.asarray(pairs, dtype=np.complex128), self.polar_map,
+                            keep_norm=False)
 
 
 def stretch_apply(angle: BlochAngle, m: StretchMap) -> BlochAngle:
@@ -533,7 +548,7 @@ def stretch_apply(angle: BlochAngle, m: StretchMap) -> BlochAngle:
 
 
 @dataclass(frozen=True)
-class MergeTableMap:
+class MergeTableMap(_PairMap):
     """Explicit pair-action table: every state is sent to |0>.
 
     The image carries the phase of the |1> component unless the |0>
@@ -553,22 +568,16 @@ class MergeTableMap:
         norms = np.sqrt(np.sum(np.abs(pairs) ** 2, axis=1))
         use_upper = np.abs(pairs[:, 1]) >= np.abs(pairs[:, 0]) - 0.5 * norms
         carrier = np.where(use_upper, pairs[:, 1], pairs[:, 0])
-        mags = np.abs(carrier)
-        phases = np.where(mags > 0, carrier / np.where(mags > 0, mags, 1.0), 1.0)
         out = np.zeros_like(pairs)
-        out[:, 0] = phases * norms
+        out[:, 0] = _unit_phase(carrier, np.abs(carrier)) * norms
         return out
-
-    def apply(self, c1: complex, c2: complex, noise=None):
-        row = self.apply_batch(np.array([[c1, c2]]), noise=noise)[0]
-        return complex(row[0]), complex(row[1])
 
     def schedule(self) -> list:
         return [{"stage": "table", "action": "merge onto |0>"}]
 
 
 @dataclass(frozen=True)
-class ExpandTableMap:
+class ExpandTableMap(_PairMap):
     """Explicit pair-action table doubling the polar angle (clamped at pi).
 
     After a phase alignment that makes the calibration pair real, the
@@ -581,20 +590,10 @@ class ExpandTableMap:
     descriptor: str = "n-plus(table)"
 
     def apply_batch(self, pairs: np.ndarray, noise=None) -> np.ndarray:
-        out = np.array(pairs, dtype=np.complex128, copy=True)
-        out[:, 1] *= np.exp(1j * self.zeta)
-        mag0, mag1 = np.abs(out[:, 0]), np.abs(out[:, 1])
-        theta = np.minimum(2.0 * (2.0 * np.arctan2(mag1, mag0)), math.pi)
-        norms = np.sqrt(mag0**2 + mag1**2)
-        phase0 = np.where(mag0 > 0, out[:, 0] / np.where(mag0 > 0, mag0, 1.0), 1.0)
-        phase1 = np.where(mag1 > 0, out[:, 1] / np.where(mag1 > 0, mag1, 1.0), 1.0)
-        out[:, 0] = norms * np.cos(theta / 2.0) * phase0
-        out[:, 1] = norms * np.sin(theta / 2.0) * phase1
-        return out
-
-    def apply(self, c1: complex, c2: complex, noise=None):
-        row = self.apply_batch(np.array([[c1, c2]]), noise=noise)[0]
-        return complex(row[0]), complex(row[1])
+        aligned = np.array(pairs, dtype=np.complex128, copy=True)
+        aligned[:, 1] *= np.exp(1j * self.zeta)
+        return _polar_remap(aligned, lambda theta: np.minimum(2.0 * theta, math.pi),
+                            keep_norm=True, out=aligned)
 
     def schedule(self) -> list:
         return [{"stage": "phase", "angle": float(self.zeta)},
@@ -610,40 +609,9 @@ def ideal_merge_gate(eps: float = 1e-9) -> CompositeNGate:
     under its own output dirt; this is the default gate for algorithm
     runs, while build_N remains the constructive realization.
     """
-    n_minus = MergeTableMap()
-    leftover = CompositeNGate([("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)], 0.0,
-                              eps).apply_to_pair(PAIR_CASE_INPUTS[2])
-    correct = _pinning_unitary(leftover)
-    pinned = correct @ leftover
-    x, y = complex(pinned[0]), complex(pinned[1])
-    zeta = float(np.angle(x) - np.angle(y)) if abs(y) > 0 else 0.0
-    n_plus = ExpandTableMap(zeta=zeta)
+    def make_n_plus(x: complex, y: complex) -> ExpandTableMap:
+        return ExpandTableMap(zeta=float(np.angle(x) - np.angle(y)) if abs(y) > 0 else 0.0)
 
-    stages = [
-        ("unitary2q", FOLD_UNITARY),
-        ("flag_map", n_minus),
-        ("unitary2q", correct),
-        ("flag_map", n_plus),
-        ("flag_unitary", X_GATE),
-        ("index_unitary", H_GATE),
-    ]
-    partial = CompositeNGate(stages=stages, fidelity=0.0, tolerance=eps)
-    out_c = partial.apply_to_pair(PAIR_CASE_INPUTS[2])
-    mu = float(np.angle(np.vdot(PAIR_CASE_TARGETS[2], out_c)))
-    stages = stages + [("flag_phase", -mu)]
-
-    gate = CompositeNGate(stages=stages, fidelity=0.0, tolerance=eps,
-                          notes=("explicit pair-action tables",))
-    fids = []
-    for case_in, case_target in zip(PAIR_CASE_INPUTS, PAIR_CASE_TARGETS):
-        out = gate.apply_to_pair(case_in)
-        fids.append(float(abs(np.vdot(case_target, out)) ** 2))
-    gate.case_fidelities = tuple(fids)
-    gate.fidelity = min(fids)
-    if gate.fidelity < 1.0 - eps:
-        raise SynthesisError(
-            "table merge gate fidelities "
-            + ", ".join(f"{f:.15f}" for f in fids)
-            + f" fall below 1 - eps = {1.0 - eps:.15f}"
-        )
-    return gate
+    # the table leftover pins with a stray of exactly 0: no stray note
+    return _assemble_merge_gate(MergeTableMap(), make_n_plus, eps, "table merge gate", 15,
+                                notes=("explicit pair-action tables",))

@@ -8,7 +8,6 @@ from nlqsim.algorithms import (
     Alg2Config,
     NoiseModel,
     flag_theta,
-    perturb,
     run_algorithm1,
     run_algorithm1_count,
     run_algorithm2,
@@ -224,14 +223,14 @@ def test_algorithm2_count_random_oracles():
 
 def test_perturb_contract():
     noise = NoiseModel(0.0, make_rng(1))
-    assert perturb(noise, 0.7) == 0.7
+    assert noise.perturb(0.7) == 0.7
     a = NoiseModel(0.1, make_rng(7))
     b = NoiseModel(0.1, make_rng(7))
-    seq_a = [perturb(a, 1.0) for _ in range(10)]
-    seq_b = [perturb(b, 1.0) for _ in range(10)]
+    seq_a = [a.perturb(1.0) for _ in range(10)]
+    seq_b = [b.perturb(1.0) for _ in range(10)]
     assert seq_a == seq_b
     big = NoiseModel(1.0, make_rng(3))
-    draws = np.array([perturb(big, 0.0) for _ in range(100_000)])
+    draws = np.array([big.perturb(0.0) for _ in range(100_000)])
     assert abs(draws.mean()) <= 5 / math.sqrt(100_000)
 
 

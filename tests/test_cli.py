@@ -2,10 +2,14 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
+from nlqsim.algorithms import Alg1Config, run_algorithm1, run_algorithm1_count
 from nlqsim.cli import main
+from nlqsim.gates import StretchMap
+from nlqsim.oracle import OracleSpec, load_truth_table
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -281,3 +285,41 @@ def test_reports_echo_budgets_and_gate_realization(capsys):
         assert config["max_applications"] == 50 and config["max_trials"] == 7
         assert ("gate_realization" in config) == (command == "solve")
         assert config.get("gate_realization") == gate
+
+
+# Seed 2 with one trial: the count run runs out of trials in round 5,
+# while the solve and separation runs see the zero pattern at once; the
+# solve run needs 23 applications, so 22 runs out of applications.
+ALG1_FLAGS = ["--truth-table", fx("one_solution_n5.json"), "--seed", "2", "--noise-sigma", "1e-4",
+              "--lambda", "0.8", "--eta", "0.7", "--theta0", "1.4", "--max-trials", "1"]
+
+
+@pytest.mark.parametrize("command", ["solve", "count", "separation"])
+def test_alg1_commands_pass_every_flag_to_the_run(capsys, command):
+    with open(fx("one_solution_n5.json"), "rb") as fh:
+        oracle = OracleSpec(load_truth_table(fh.read()))
+    cfg = Alg1Config(n=oracle.num_vars, oracle=oracle,
+                     stretch=StretchMap(theta0=1.4, eta=0.7, lam=0.8), max_applications=40,
+                     max_trials=1, noise_sigma=1e-4, seed=2)
+    argv = [command] + ALG1_FLAGS
+    if command == "solve":
+        argv += ["--algorithm", "alg1", "--threshold", "0.3", "--max-applications", "22"]
+        cfg = replace(cfg, decision_threshold=0.3, max_applications=22)
+        want = run_algorithm1(cfg).to_dict()
+        # the threshold and the application budget both show in the report
+        assert want != run_algorithm1(replace(cfg, decision_threshold=0.5)).to_dict()
+        assert want != run_algorithm1(replace(cfg, max_applications=96)).to_dict()
+    elif command == "count":
+        argv += ["--algorithm", "alg1", "--max-applications", "40"]
+        want = run_algorithm1_count(cfg).to_dict()
+        assert want != run_algorithm1_count(replace(cfg, max_trials=None)).to_dict()
+    else:
+        argv += ["--max-applications", "40"]
+        want = run_algorithm1(cfg).to_dict()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == (0 if want["succeeded"] else 2)
+    if command == "separation":
+        rows = [f"{k}\t{sep:.17g}" for k, sep in want["separation_trajectory"]]
+        assert out.splitlines() == ["k\tbloch_separation"] + rows
+    else:
+        assert json.loads(out)["report"] == json.loads(json.dumps(want))

@@ -7,10 +7,14 @@ stage by stage, integrate on Python complex numbers and scan every point
 of the phase-search grid; none of them shares code with the strided
 kernels, the Walsh-Hadamard layer, the lift's fast paths, the oracle
 table, the row-batched sweep, the real-arithmetic RK4 or the branch and
-bound.
+bound.  The polar-angle maps, the merge-gate assembly and the sandwich
+passes' phase searches are checked against the bodies they replaced,
+kept here verbatim.
 """
 
+import hashlib
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -19,11 +23,22 @@ import pytest
 
 from nlqsim.algorithms import NoiseModel, _jittered_stretch, _stretch_pair
 from nlqsim.gates import (
+    FOLD_UNITARY,
     H_GATE,
+    PAIR_CASE_INPUTS,
+    PAIR_CASE_TARGETS,
+    X_GATE,
+    CompositeNGate,
     ExpandTableMap,
     MergeTableMap,
+    NonlinearMap,
     StretchMap,
+    SynthesisError,
+    _assemble_merge_gate,
+    _pinning_unitary,
     build_N,
+    build_n_minus,
+    build_n_plus,
     ideal_merge_gate,
 )
 from nlqsim.oracle import (
@@ -639,3 +654,303 @@ def test_phase_search_matches_dense_scan_on_a_capped_grid(monkeypatch):
     h = HbarFunction((0.3, -0.7, 1.1, 0.4))
     for eps, kind in [(1e-3, "no solution"), (0.5, "solution")]:
         assert assert_search_matches_dense_scan(h, math.pi / 8, eps, 2000.0) == kind
+
+
+# -- polar-angle maps and merge-gate assembly: against the bodies they replaced
+
+def stretch_apply_batch_before(self, pairs, noise=None):
+    pairs = np.asarray(pairs, dtype=np.complex128)
+    mag0, mag1 = np.abs(pairs[:, 0]), np.abs(pairs[:, 1])
+    theta = 2.0 * np.arctan2(mag1, mag0)
+    theta_new = self.polar_map(theta)
+    phase0 = np.where(mag0 > 0, pairs[:, 0] / np.where(mag0 > 0, mag0, 1.0), 1.0)
+    phase1 = np.where(mag1 > 0, pairs[:, 1] / np.where(mag1 > 0, mag1, 1.0), 1.0)
+    out = np.empty_like(pairs)
+    out[:, 0] = np.cos(theta_new / 2.0) * phase0
+    out[:, 1] = np.sin(theta_new / 2.0) * phase1
+    return out
+
+
+def merge_apply_batch_before(self, pairs, noise=None):
+    pairs = np.asarray(pairs, dtype=np.complex128)
+    norms = np.sqrt(np.sum(np.abs(pairs) ** 2, axis=1))
+    use_upper = np.abs(pairs[:, 1]) >= np.abs(pairs[:, 0]) - 0.5 * norms
+    carrier = np.where(use_upper, pairs[:, 1], pairs[:, 0])
+    mags = np.abs(carrier)
+    phases = np.where(mags > 0, carrier / np.where(mags > 0, mags, 1.0), 1.0)
+    out = np.zeros_like(pairs)
+    out[:, 0] = phases * norms
+    return out
+
+
+def expand_apply_batch_before(self, pairs, noise=None):
+    out = np.array(pairs, dtype=np.complex128, copy=True)
+    out[:, 1] *= np.exp(1j * self.zeta)
+    mag0, mag1 = np.abs(out[:, 0]), np.abs(out[:, 1])
+    theta = np.minimum(2.0 * (2.0 * np.arctan2(mag1, mag0)), math.pi)
+    norms = np.sqrt(mag0**2 + mag1**2)
+    phase0 = np.where(mag0 > 0, out[:, 0] / np.where(mag0 > 0, mag0, 1.0), 1.0)
+    phase1 = np.where(mag1 > 0, out[:, 1] / np.where(mag1 > 0, mag1, 1.0), 1.0)
+    out[:, 0] = norms * np.cos(theta / 2.0) * phase0
+    out[:, 1] = norms * np.sin(theta / 2.0) * phase1
+    return out
+
+
+POLAR_MAPS = [
+    (StretchMap(), stretch_apply_batch_before),
+    (StretchMap(theta0=1.2, eta=0.5, lam=0.9), stretch_apply_batch_before),
+    (MergeTableMap(), merge_apply_batch_before),
+    (ExpandTableMap(), expand_apply_batch_before),
+    (ExpandTableMap(zeta=0.7), expand_apply_batch_before),
+    (ExpandTableMap(zeta=-2.1), expand_apply_batch_before),
+]
+
+
+def polar_map_rows(rng):
+    """Zero components, signed zeros, poles, tiny and unnormalized rows."""
+    special = np.array([
+        [0, 0], [1, 0], [0, 1], [-1, 0], [0, -1j], [3, 0], [0, 0.25j],
+        [complex(-0.0, 0.0), 0.6], [0.8, complex(0.0, -0.0)],
+        [complex(-0.0, -0.0), complex(-0.0, -0.0)], [complex(-0.6, -0.0), complex(-0.0, 0.8)],
+        [0.6, 0.8], [0.8, 0.6], [1e-160, 1e-160j], [2.5 - 1j, -4j],
+    ], dtype=np.complex128)
+    rand = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
+    rand *= rng.uniform(0.05, 20.0, size=(64, 1))
+    return np.concatenate([special, rand])
+
+
+@pytest.mark.parametrize("index", range(len(POLAR_MAPS)))
+def test_polar_maps_are_bitwise_their_pre_refactor_bodies(index):
+    nl_map, before = POLAR_MAPS[index]
+    rows = polar_map_rows(make_rng(360 + index))
+    mags = np.abs(rows)
+    # rows past the equator: the expansion table clamps them at pi
+    assert np.any(4.0 * np.arctan2(mags[:, 1], mags[:, 0]) > math.pi)
+    assert nl_map.apply_batch(rows.copy()).tobytes() == before(nl_map, rows.copy()).tobytes()
+    if isinstance(nl_map, StretchMap):
+        return  # no single-pair form
+    for c1, c2 in rows[:20]:
+        got = nl_map.apply(c1, c2)
+        want = before(nl_map, np.array([[c1, c2]]))[0]
+        assert np.array(got).tobytes() == want.tobytes()
+
+
+def test_traced_gate_names_stay_where_bench_tracer_wraps_them():
+    from nlqsim import gates
+
+    for name in ("build_N", "build_n_minus", "build_n_plus", "ideal_merge_gate"):
+        assert callable(vars(gates)[name])
+    for cls in (NonlinearMap, StretchMap, MergeTableMap, ExpandTableMap):
+        assert "apply_batch" in cls.__dict__  # defined in the class body, not inherited
+
+
+def ideal_merge_gate_before(eps=1e-9):
+    n_minus = MergeTableMap()
+    leftover = CompositeNGate([("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)], 0.0,
+                              eps).apply_to_pair(PAIR_CASE_INPUTS[2])
+    correct = _pinning_unitary(leftover)
+    pinned = correct @ leftover
+    x, y = complex(pinned[0]), complex(pinned[1])
+    zeta = float(np.angle(x) - np.angle(y)) if abs(y) > 0 else 0.0
+    n_plus = ExpandTableMap(zeta=zeta)
+
+    stages = [
+        ("unitary2q", FOLD_UNITARY),
+        ("flag_map", n_minus),
+        ("unitary2q", correct),
+        ("flag_map", n_plus),
+        ("flag_unitary", X_GATE),
+        ("index_unitary", H_GATE),
+    ]
+    partial = CompositeNGate(stages=stages, fidelity=0.0, tolerance=eps)
+    out_c = partial.apply_to_pair(PAIR_CASE_INPUTS[2])
+    mu = float(np.angle(np.vdot(PAIR_CASE_TARGETS[2], out_c)))
+    stages = stages + [("flag_phase", -mu)]
+
+    gate = CompositeNGate(stages=stages, fidelity=0.0, tolerance=eps,
+                          notes=("explicit pair-action tables",))
+    fids = []
+    for case_in, case_target in zip(PAIR_CASE_INPUTS, PAIR_CASE_TARGETS):
+        out = gate.apply_to_pair(case_in)
+        fids.append(float(abs(np.vdot(case_target, out)) ** 2))
+    gate.case_fidelities = tuple(fids)
+    gate.fidelity = min(fids)
+    if gate.fidelity < 1.0 - eps:
+        raise SynthesisError(
+            "table merge gate fidelities "
+            + ", ".join(f"{f:.15f}" for f in fids)
+            + f" fall below 1 - eps = {1.0 - eps:.15f}"
+        )
+    return gate
+
+
+def build_N_before(h, eps):
+    budget = math.sqrt(eps)
+    n_minus = build_n_minus(h, budget)
+    leftover = CompositeNGate([("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)], 0.0,
+                              eps).apply_to_pair(PAIR_CASE_INPUTS[2])
+    correct = _pinning_unitary(leftover)
+    pinned = correct @ leftover
+    stray = math.hypot(abs(pinned[2]), abs(pinned[3]))
+    notes = []
+    if stray > 1e-9:
+        notes.append(f"pinning left {stray:.3g} outside the flag axis")
+    n_plus = build_n_plus(None, complex(pinned[0]), complex(pinned[1]), budget / 2.0)
+
+    stages = [
+        ("unitary2q", FOLD_UNITARY),
+        ("flag_map", n_minus),
+        ("unitary2q", correct),
+        ("flag_map", n_plus),
+        ("flag_unitary", X_GATE),
+        ("index_unitary", H_GATE),
+    ]
+    partial = CompositeNGate(stages=stages, fidelity=0.0, tolerance=eps)
+    out_c = partial.apply_to_pair(PAIR_CASE_INPUTS[2])
+    mu = float(np.angle(np.vdot(PAIR_CASE_TARGETS[2], out_c)))
+    stages = stages + [("flag_phase", -mu)]
+
+    gate = CompositeNGate(stages=stages, fidelity=0.0, tolerance=eps,
+                          notes=tuple(notes))
+    fids = []
+    for case_in, case_target in zip(PAIR_CASE_INPUTS, PAIR_CASE_TARGETS):
+        out = gate.apply_to_pair(case_in)
+        fids.append(float(abs(np.vdot(case_target, out)) ** 2))
+    gate.case_fidelities = tuple(fids)
+    gate.fidelity = min(fids)
+    return gate
+
+
+def audit_json(gate):
+    """The audit with every float in repr form, so -0.0 and the last ulp count."""
+    return json.dumps(gate.audit(), sort_keys=True)
+
+
+# Recorded from ideal_merge_gate before its assembly was shared with build_N;
+# the audits differ only in their tolerance field.
+TABLE_GATE_FIDELITIES = (0.9999999999999993, 0.9999999999999993, 0.9999999999999991)
+TABLE_GATE_AUDIT_SHA256 = {
+    1e-9: "2bb81608d45ed4618c9e8f62ef7050a4839126914b8d00cf7d2ffe404f0e2cfb",
+    1e-6: "1af5bd4a6bf9db00dc597d414d230f410e4e121117f8a151ac2446e5a17b6165",
+    1e-3: "dddcc77faddaae20c986d88d9951a2d54b78d0098352f14a727a5d8315c705fb",
+}
+
+
+@pytest.mark.parametrize("eps", sorted(TABLE_GATE_AUDIT_SHA256))
+def test_table_merge_gate_is_pinned_and_matches_its_pre_refactor_assembly(eps):
+    gate = ideal_merge_gate(eps)
+    assert gate.case_fidelities == TABLE_GATE_FIDELITIES
+    assert gate.fidelity == min(TABLE_GATE_FIDELITIES)
+    assert gate.notes == ("explicit pair-action tables",)
+    kind, angle = gate.stages[-1]
+    assert kind == "flag_phase" and float.hex(angle) == "-0x0.0p+0"
+    assert hashlib.sha256(audit_json(gate).encode()).hexdigest() == TABLE_GATE_AUDIT_SHA256[eps]
+    ref = ideal_merge_gate_before(eps)
+    assert audit_json(gate) == audit_json(ref)
+    assert gate.case_fidelities == ref.case_fidelities
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6])
+def test_synthesized_merge_gate_matches_its_pre_refactor_assembly(eps):
+    gate, ref = build_N(None, eps), build_N_before(None, eps)
+    assert audit_json(gate) == audit_json(ref)
+    assert gate.case_fidelities == ref.case_fidelities
+    assert gate.notes == ref.notes
+
+
+def test_merge_gate_failures_keep_both_message_forms(monkeypatch):
+    with pytest.raises(SynthesisError) as table_exc:
+        ideal_merge_gate(1e-16)
+    with pytest.raises(SynthesisError) as ref_exc:
+        ideal_merge_gate_before(1e-16)
+    assert str(table_exc.value) == str(ref_exc.value) == (
+        "table merge gate fidelities 0.999999999999999, 0.999999999999999, "
+        "0.999999999999999 fall below 1 - eps = 1.000000000000000")
+    # the synthesized form: twelve digits, "merge gate" without "table"
+    with pytest.raises(SynthesisError, match=r"^merge gate fidelities 1\.000000000000, .* "
+                                             r"fall below 1 - eps = 1\.000000000000$"):
+        _assemble_merge_gate(MergeTableMap(), lambda x, y: ExpandTableMap(), 1e-16,
+                             "merge gate", 12)
+
+    def failing_n_plus(*args):
+        raise SynthesisError("calibration state is degenerate with |0>")
+
+    from nlqsim import gates
+    monkeypatch.setattr(gates, "build_n_plus", failing_n_plus)
+    with pytest.raises(SynthesisError, match=r"^expansion stage failed: calibration state is "
+                                             r"degenerate with \|0>$"):
+        build_N(None, 1e-3)
+
+
+def alignment_horizon_before(h, fallback=2000.0):
+    if isinstance(h, PhaseAlignedHbar):
+        return 4.0 * math.pi / h.omega0
+    return fallback
+
+
+def n_minus_search_before(h, eps, t_max=None):
+    """build_n_minus's profile, horizon and phase search as written inline."""
+    offset = min(eps / 2.0, 0.5)
+    phi = (math.pi - offset) / 4.0
+    h_use = h if h is not None else phase_aligned_hbar(math.sin(phi) ** 2, math.cos(phi) ** 2)
+    if t_max is None:
+        t_max = alignment_horizon_before(h_use)
+    try:
+        sol = find_phase_time(h_use, phi, eps=max(offset / 10.0, 1e-12), t_max=t_max)
+    except PhaseAlignmentError as exc:
+        raise SynthesisError(
+            f"contraction pass at phi={phi:.6g} found no phase solution: {exc}"
+        ) from exc
+    return h_use, sol.t_star
+
+
+def n_plus_search_before(h, x, y, eps, t_max=None):
+    """build_n_plus's profile, horizon and phase search as written inline."""
+    norm = math.hypot(abs(x), abs(y))
+    x, y = complex(x) / norm, complex(y) / norm
+    chi = math.acos(min(1.0, abs(x)))
+    phi = math.pi / 4.0 - chi / 2.0
+    h_use = h if h is not None else phase_aligned_hbar(math.sin(phi) ** 2, math.cos(phi) ** 2)
+    if t_max is None:
+        t_max = alignment_horizon_before(h_use)
+    try:
+        sol = find_phase_time(h_use, phi, eps=max(eps / 10.0, 1e-12), t_max=t_max)
+    except PhaseAlignmentError as exc:
+        raise SynthesisError(
+            f"expansion pass at phi={phi:.6g} found no phase solution: {exc}"
+        ) from exc
+    return h_use, sol.t_star
+
+
+def search_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except SynthesisError as exc:
+        return str(exc)
+
+
+def evolve_stage_or_error(build, *args):
+    try:
+        gate = build(*args)
+    except SynthesisError as exc:
+        return str(exc)
+    (payload,) = [p for kind, p in gate.stages if kind == "evolve"]
+    return payload
+
+
+@pytest.mark.parametrize("h, eps, t_max", [
+    (None, 1e-3, None),
+    (None, 0.3, None),
+    (phase_aligned_hbar(0.3, 0.7), 0.3, None),
+    (HbarFunction((0.3, -0.7, 1.1, 0.4)), 1.0, 50.0),
+    (HbarFunction((0.3, -0.7, 1.1, 0.4)), 0.3, None),
+    (HbarFunction((0.5, 1.5)), 0.6, None),
+    (HbarFunction((0.0, 0.0, 1.0)), 0.6, 50.0),
+])
+def test_sandwich_passes_search_as_their_inline_blocks_did(h, eps, t_max):
+    # a failed search names its best residual, which moves with the grid
+    # step eps / 20, so the tolerance each pass passes on is observable
+    want = search_or_error(n_minus_search_before, h, eps, t_max)
+    assert evolve_stage_or_error(build_n_minus, h, eps, t_max) == want
+    want = search_or_error(n_plus_search_before, h, 0.6, 0.8j, eps, t_max)
+    assert evolve_stage_or_error(build_n_plus, h, 0.6, 0.8j, eps, t_max) == want
