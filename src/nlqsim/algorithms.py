@@ -22,9 +22,12 @@ Pair-merge route (`run_algorithm2`): for each input qubit in turn, the
 synthesized merge gate is applied to (that qubit, flag) across all basis
 patterns of the remaining qubits, doubling the number of flag-one
 components per iteration; after n iterations the flag is disentangled and
-carries the decision.  The counting variant replaces the flag by a
-counter register and the merge gate by an exact branch-table map that
-adds the two counters of every pair.
+carries the decision.  A swept qubit that the sweep leaves in |+> takes
+no further part, so the register drops it (after checking its residue)
+and sweep k touches 2**(n-k+1) amplitudes instead of 2**(n+1).  The
+counting variant replaces the flag by one integer counter label per
+branch and the merge gate by an exact branch-table map that adds the two
+labels of every pair; each of its sweeps halves the branches.
 
 Noise model: every runtime rotation angle and every stretch-map exponent
 is jittered by Gaussian(0, sigma) per invocation.  Fixed matrices (the
@@ -61,10 +64,16 @@ from .statevector import (
     new_basis_state,
     probability_of_pattern,
 )
-from .weinberg import apply_conditional_subspace_map, lift_pairs
+from .weinberg import lift_pairs
 
 DEFAULT_GATE_EPS = 1e-6
 RESOLVE_MARGIN = 1e-3  # polar distance from a pole considered resolved
+# A swept index qubit leaves the register only if its residue 1 - <+|rho|+>
+# is at or below this.  Rounding alone leaves at most about 1e-26 at
+# n = 14 with the table gate (its expansion stage doubles flag dust every
+# sweep), while gate noise of sigma = 1e-3 leaves 1e-16 and more on some
+# sweeps, and those qubits stay.
+_PLUS_RESIDUE_MAX = 1e-22
 
 
 @functools.lru_cache(maxsize=8)
@@ -344,11 +353,33 @@ def run_algorithm1_count(cfg: Alg1Config) -> RunReport:
     return report
 
 
-def _flag_one_census(state: StateVector, n: int) -> int:
-    """Number of input-basis components carrying a significant flag-one part."""
+def _flag_one_census(state: StateVector, n: int, dropped: int) -> int:
+    """Number of input-basis components carrying a significant flag-one part.
+
+    After `dropped` |+> index qubits have left the register, each row
+    stands for 2**dropped components, its amplitudes sqrt(2)**dropped
+    times theirs.
+    """
     rows = state.amplitudes.reshape(-1, 2)
-    threshold = 0.5 / math.sqrt(1 << n)
-    return int(np.count_nonzero(np.abs(rows[:, 1]) > threshold))
+    threshold = 0.5 / math.sqrt(1 << n) * math.sqrt(1 << dropped)
+    return (1 << dropped) * int(np.count_nonzero(np.abs(rows[:, 1]) > threshold))
+
+
+def _drop_plus_qubit(amps: np.ndarray, pos: int) -> tuple[np.ndarray | None, float]:
+    """Project qubit pos of the register amps onto |+> and remove it.
+
+    With r0, r1 the two halves of the (2**pos, 2, rest) view, returns
+    ((r0 + r1) / sqrt(2) flattened, 0.5 ||r0 - r1||^2); the second value
+    is 1 - <+|rho|+> of that qubit, computed without cancellation.  The
+    register comes back as None when the residue is above
+    _PLUS_RESIDUE_MAX: the qubit is then not a |+> product and must stay.
+    """
+    halves = amps.reshape(1 << pos, 2, -1)
+    diff = halves[:, 0] - halves[:, 1]
+    residue = 0.5 * float(np.vdot(diff, diff).real)
+    if residue > _PLUS_RESIDUE_MAX:
+        return None, residue
+    return ((halves[:, 0] + halves[:, 1]) / math.sqrt(2.0)).reshape(-1), residue
 
 
 def _flag_mixedness(state: StateVector, flag: int) -> float:
@@ -374,15 +405,30 @@ def run_algorithm2(cfg: Alg2Config) -> RunReport:
     report = RunReport()
     calls_before = oracle.call_counter
 
-    flag = cfg.n
     state = apply_hadamard_layer(new_basis_state(cfg.n + 1, 0), range(cfg.n))
-    state = apply_oracle(state, range(cfg.n), flag, oracle)
-    census = []
-    for k in range(cfg.n):
-        state = gate.apply_to_register(state, k, flag, noise=noise)
-        census.append(_flag_one_census(state, cfg.n))
+    state = apply_oracle(state, range(cfg.n), cfg.n, oracle)
+    # Only exact table flag maps (tolerance 0) may shrink the register: a
+    # sandwich gate's evolution shears a 1e-16 change of its input into an
+    # O(1) change of P(flag = 1) a few sweeps later, so it runs dense.
+    # Swept qubits that stay sit in front of the unswept ones, so the next
+    # index qubit is at position `kept`; the flag stays last.
+    shrink = all(m.tolerance == 0.0 for kind, m in gate.stages if kind == "flag_map")
+    census, kept, dropped, dropped_residue = [], 0, 0, 0.0
+    for _ in range(cfg.n):
+        state = gate.apply_to_register(state, kept, state.num_qubits - 1, noise=noise)
+        amps = None
+        if shrink:
+            amps, residue = _drop_plus_qubit(state.amplitudes, kept)
+        if amps is None:
+            kept += 1
+        else:
+            state = StateVector(state.num_qubits - 1, amps)
+            dropped += 1
+            dropped_residue += residue
+        census.append(_flag_one_census(state, cfg.n, dropped))
 
-    residue = _flag_mixedness(state, flag)
+    flag = state.num_qubits - 1
+    residue = dropped_residue + _flag_mixedness(state, flag)
     report.entanglement_residue = residue
     if residue > 10.0 * gate.tolerance:
         report.notes.append(
@@ -405,74 +451,53 @@ class CounterOverflowError(Exception):
     """A pair merge produced a count the counter register cannot hold."""
 
 
-def _apply_counting_oracle(state: StateVector, n: int, width: int,
-                           oracle: OracleSpec) -> StateVector:
-    """Coherent |i, c> -> |i, c + f(i) mod 2**width>; one counter tick."""
-    fvec = truth_vector(oracle).astype(np.int64)
-    idx = np.arange(state.dim)
-    i_part = idx >> width
-    c_part = idx & ((1 << width) - 1)
-    src_c = (c_part - fvec[i_part]) % (1 << width)
-    src = (i_part << width) | src_c
-    oracle.call_counter += 1
-    return StateVector(state.num_qubits, state.amplitudes[src])
-
-
-def _merge_counters(rows: np.ndarray, width: int) -> np.ndarray:
-    """Branch table (|0,c0> + |1,c1>)/sqrt(2) -> (|0,c0+c1> + |1,c0+c1>)/sqrt(2)."""
-    m = rows.shape[0]
-    blocks = rows.reshape(m, 2, 1 << width)
-    c0 = np.argmax(np.abs(blocks[:, 0, :]) ** 2, axis=1)
-    c1 = np.argmax(np.abs(blocks[:, 1, :]) ** 2, axis=1)
-    sel = np.arange(m)
-    a0 = blocks[sel, 0, c0]
-    a1 = blocks[sel, 1, c1]
-    kept = np.abs(a0) ** 2 + np.abs(a1) ** 2
-    total = np.sum(np.abs(blocks) ** 2, axis=(1, 2))
-    if np.any(kept < total * (1.0 - 1e-9)):
-        raise CounterOverflowError("pair branches are not concentrated on single counts")
-    csum = c0 + c1
-    if np.any(csum >= (1 << width)):
+def _merge_counters(labels: np.ndarray, width: int) -> np.ndarray:
+    """Branch table (|0,c0> + |1,c1>)/sqrt(2) -> (|0,c0+c1> + |1,c0+c1>)/sqrt(2)
+    on counter labels: labels is the (2, m) pair of halves c0, c1, and the m
+    sums come back; a sum above the width-qubit counter is an overflow."""
+    csum = labels[0] + labels[1]
+    if int(csum.max()) >= (1 << width):
         raise CounterOverflowError(
             f"count {int(csum.max())} does not fit in {width} counter qubits"
         )
-    out = np.zeros_like(blocks)
-    out[sel, 0, csum] = a0
-    out[sel, 1, csum] = a1
-    return out.reshape(m, 2 << width)
+    return csum
 
 
 def run_algorithm2_count(cfg: Alg2Config) -> RunReport:
-    """Exact solution count via the counter-register merge cascade."""
-    oracle = _checked_oracle(cfg, 10, "counting cascade")
+    """Exact solution count via the merge cascade on labelled branches.
+
+    Branch i carries an amplitude and its counter value as an integer
+    label, which the one coherent query |i, 0> -> |i, f(i)> sets to f(i).
+    Sweep k merges the branch pairs that differ in index bit k, adding
+    their labels, and drops that qubit, which the merge leaves in |+>:
+    2**(n-k) amplitudes and labels remain, and the last branch holds the
+    count.  A pair whose amplitudes differ stops the run with a note
+    instead of being merged.
+    """
+    oracle = _checked_oracle(cfg, 14, "counting cascade")
     width = cfg.counter_width if cfg.counter_width is not None else cfg.n + 1
     if width < 1:
         raise ValueError("counter_width must be >= 1")
-    if cfg.n + width > 20:
-        raise ValueError("register would exceed the 20-qubit cap")
-    rng = make_rng(cfg.seed)
     report = RunReport()
     calls_before = oracle.call_counter
 
-    state = apply_hadamard_layer(new_basis_state(cfg.n + width, 0), range(cfg.n))
-    state = _apply_counting_oracle(state, cfg.n, width, oracle)
-    counter_qubits = list(range(cfg.n, cfg.n + width))
-    try:
-        for k in range(cfg.n):
-            state = apply_conditional_subspace_map(
-                state, [k] + counter_qubits, lambda rows: _merge_counters(rows, width)
-            )
-    except CounterOverflowError as exc:
-        report.oracle_calls = oracle.call_counter - calls_before
-        report.notes.append(f"counter overflow: {exc}")
-        return report
+    amps = apply_hadamard_layer(new_basis_state(cfg.n, 0), range(cfg.n)).amplitudes
+    labels = truth_vector(oracle).astype(np.int64)
+    oracle.call_counter += 1  # the coherent counting query
+    for k in range(cfg.n):
+        amps, residue = _drop_plus_qubit(amps, 0)
+        if amps is None:
+            report.oracle_calls = oracle.call_counter - calls_before
+            report.notes.append(f"index qubit {k} left |+> by residue {residue:.3g}")
+            return report
+        try:
+            labels = _merge_counters(labels.reshape(2, -1), width)
+        except CounterOverflowError as exc:
+            report.oracle_calls = oracle.call_counter - calls_before
+            report.notes.append(f"counter overflow: {exc}")
+            return report
 
-    record, _ = measure_qubits(state, counter_qubits, rng)
-    report.count = record.outcome_bits
-    if record.outcome_probability < 1.0 - 1e-9:
-        report.notes.append(
-            f"counter readout probability {record.outcome_probability:.12f} below 1"
-        )
+    report.count = int(labels[0])  # read out with probability 1 - (dropped residues)
     report.oracle_calls = oracle.call_counter - calls_before
     report.trials_used = 1
     report.applications_used = cfg.n

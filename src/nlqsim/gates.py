@@ -89,10 +89,6 @@ def rotation(phi: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]], dtype=np.complex128)
 
 
-def phase_shift(zeta: float) -> np.ndarray:
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * zeta)]], dtype=np.complex128)
-
-
 def state_bloch(c1: complex, c2: complex) -> BlochAngle:
     """Bloch coordinates of a pure qubit state (azimuth 0 at the poles)."""
     theta = 2.0 * math.atan2(abs(c2), abs(c1))
@@ -116,13 +112,6 @@ def state_angle(a, b) -> float:
     b = np.asarray(b, dtype=np.complex128)
     overlap = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
     return math.acos(min(1.0, overlap))
-
-
-def pair_from_bloch(angle: BlochAngle) -> tuple[complex, complex]:
-    return (
-        complex(math.cos(angle.theta / 2.0)),
-        complex(math.sin(angle.theta / 2.0) * np.exp(1j * angle.phi_az)),
-    )
 
 
 class _PairMap:

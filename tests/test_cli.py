@@ -246,9 +246,9 @@ def test_alg2_solve_size_cap_is_a_one_line_error(capsys, tmp_path):
 
 def test_alg2_count_size_cap_is_a_one_line_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", "--algorithm", "alg2",
-                           "--truth-table", write_table(tmp_path, 11, [1]))
+                           "--truth-table", write_table(tmp_path, 15, [1]))
     assert_one_line_error(code, err)
-    assert "capped at n = 10" in err
+    assert "capped at n = 14" in err
 
 
 def test_alg2_solution_guard_is_a_one_line_error(capsys):

@@ -270,3 +270,19 @@ def test_fold_unitary_matches_module_constant():
     ) / SQ2
     assert np.allclose(FOLD_UNITARY, expected)
     assert np.allclose(FOLD_UNITARY @ FOLD_UNITARY.conj().T, np.eye(4), atol=1e-12)
+
+
+def test_contraction_pass_searches_at_a_tenth_of_its_design_offset():
+    # A phase-aligned profile built for a latitude 0.02 above the pass's own
+    # has no exact alignment time; its best residual lies between offset/10
+    # and offset, so the contraction pass (searching at offset/10) refuses it
+    # although a search at the offset itself would accept it.
+    eps = 0.5
+    offset = eps / 2.0
+    phi = (math.pi - offset) / 4.0
+    h = phase_aligned_hbar(math.sin(phi) ** 2 + 0.02, math.cos(phi) ** 2)
+    with pytest.raises(SynthesisError, match="contraction pass at .* found no phase solution") as info:
+        build_n_minus(h, eps)
+    best = info.value.__cause__.best_residual
+    assert offset / 10.0 < best <= offset
+    assert find_phase_time(h, phi, offset, t_max=4.0 * math.pi / h.omega0).residual <= offset
