@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .statevector import (
     StateVector,
     apply_hadamard_layer,
     block_rows,
+    check_array_size,
     conditional_qubit_state,
     make_rng,
     measure_qubits,
@@ -114,20 +115,9 @@ class RunReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "decision": self.decision,
-            "count": self.count,
-            "oracle_calls": self.oracle_calls,
-            "trials_used": self.trials_used,
-            "applications_used": self.applications_used,
-            "applications_to_threshold": self.applications_to_threshold,
-            "separation_trajectory": [[int(k), float(s)] for k, s in self.separation_trajectory],
-            "post_measurement_flag_amplitude": self.post_measurement_flag_amplitude,
-            "succeeded": self.succeeded,
-            "entanglement_residue": self.entanglement_residue,
-            "flag_one_census": self.flag_one_census,
-            "notes": list(self.notes),
-        }
+        doc = asdict(self)
+        doc["separation_trajectory"] = [[int(k), float(s)] for k, s in self.separation_trajectory]
+        return doc
 
 
 @dataclass
@@ -164,12 +154,12 @@ class Alg2Config:
     seed: int = 0
 
 
-def _checked_oracle(cfg, cap: int, kind: str) -> OracleSpec:
-    """The config's oracle, once cfg.n matches it and is within the run's cap."""
+def _checked_oracle(cfg, kind: str, extra_qubits: int) -> OracleSpec:
+    """The config's oracle, once cfg.n matches it and the run's register of
+    n + extra_qubits qubits fits the array budget."""
     if cfg.n != cfg.oracle.num_vars:
         raise ValueError(f"config n={cfg.n} does not match oracle ({cfg.oracle.num_vars} vars)")
-    if cfg.n > cap:
-        raise ValueError(f"{kind} runs are capped at n = {cap}")
+    check_array_size(f"{kind} runs are", cfg.n, extra_bits=extra_qubits)
     return cfg.oracle
 
 
@@ -223,7 +213,7 @@ def _prepare_flag_state(n: int, oracle: OracleSpec, rng, max_trials: int):
 
 def run_algorithm1(cfg: Alg1Config) -> RunReport:
     """Decide s = 0 versus s > 0 with the stretch-map amplification."""
-    oracle = _checked_oracle(cfg, 16, "flag-amplification")
+    oracle = _checked_oracle(cfg, "flag-amplification", 1)
     rng = make_rng(cfg.seed)
     noise = NoiseModel(cfg.noise_sigma, rng)
     m = cfg.stretch
@@ -298,7 +288,7 @@ def run_algorithm1_count(cfg: Alg1Config) -> RunReport:
     map's unstable center, and lets the dynamics push the two boundary
     hypotheses to opposite poles before measuring.
     """
-    oracle = _checked_oracle(cfg, 16, "flag-amplification")
+    oracle = _checked_oracle(cfg, "flag-amplification", 1)
     rng = make_rng(cfg.seed)
     noise = NoiseModel(cfg.noise_sigma, rng)
     m = cfg.stretch
@@ -392,7 +382,7 @@ def _flag_mixedness(state: StateVector, flag: int) -> float:
 
 def run_algorithm2(cfg: Alg2Config) -> RunReport:
     """Single-query decision via the pair-merge cascade."""
-    oracle = _checked_oracle(cfg, 14, "pair-merge")
+    oracle = _checked_oracle(cfg, "pair-merge", 1)
     if not cfg.counting:
         s = count_solutions_bruteforce(oracle)
         if s > 1:
@@ -474,7 +464,7 @@ def run_algorithm2_count(cfg: Alg2Config) -> RunReport:
     count.  A pair whose amplitudes differ stops the run with a note
     instead of being merged.
     """
-    oracle = _checked_oracle(cfg, 14, "counting cascade")
+    oracle = _checked_oracle(cfg, "counting cascade", 0)
     width = cfg.counter_width if cfg.counter_width is not None else cfg.n + 1
     if width < 1:
         raise ValueError("counter_width must be >= 1")

@@ -347,34 +347,50 @@ class CompositeNGate:
     stages is the ordered audit list; kinds are "unitary2q" (fixed 4x4),
     "flag_map" (NonlinearMap via the preferred-basis prescription),
     "flag_unitary"/"index_unitary" (fixed 2x2) and "flag_phase" (angle).
+    It is stored as a tuple, and every fixed matrix is checked for
+    unitarity once, here, when the sweep's row operators are built.
     """
 
-    stages: list
+    stages: tuple
     fidelity: float
     tolerance: float
     case_fidelities: tuple[float, float, float] = (0.0, 0.0, 0.0)
     notes: tuple[str, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        self.stages = tuple(self.stages)
+        # (kind, operator) per stage: "rows" right-multiplies the (m, 4) rows,
+        # "pairs" the (2m, 2) flag pairs
+        ops = []
+        for kind, payload in self.stages:
+            if kind == "unitary2q":
+                ops.append(("rows", _check_unitary(payload, 4).T))
+            elif kind == "flag_unitary":
+                ops.append(("pairs", _check_unitary(payload, 2).T))
+            elif kind == "index_unitary":
+                ops.append(("rows", np.kron(_check_unitary(payload, 2), np.eye(2)).T))
+            elif kind in ("flag_map", "flag_phase"):
+                ops.append((kind, payload))
+            else:
+                raise ValueError(f"unknown stage kind {kind!r}")
+        self._sweep_ops = tuple(ops)
 
     def apply_to_register(self, state: StateVector, index_q: int, flag_q: int,
                           noise=None) -> StateVector:
         """One sweep: every stage acts on the (m, 4) rows |index flag>, gathered
         once; a flag map lifts each (row, index bit) flag pair as a branch."""
         rows = block_rows(state, (index_q, flag_q))
-        for kind, payload in self.stages:
-            if kind == "unitary2q":
-                rows = rows @ _check_unitary(payload, 4).T
+        for kind, op in self._sweep_ops:
+            if kind == "rows":
+                rows = rows @ op
+            elif kind == "pairs":
+                rows = (rows.reshape(-1, 2) @ op).reshape(-1, 4)
             elif kind == "flag_map":
                 lift_pairs(rows.reshape(-1, 2),
-                           lambda pairs, m=payload: m.apply_batch(pairs, noise=noise))
-            elif kind == "flag_unitary":
-                rows = (rows.reshape(-1, 2) @ _check_unitary(payload, 2).T).reshape(-1, 4)
-            elif kind == "index_unitary":
-                rows = rows @ np.kron(_check_unitary(payload, 2), np.eye(2)).T
-            elif kind == "flag_phase":
-                ang = payload if noise is None else noise.perturb(payload)
-                rows[:, 0::2] *= np.exp(1j * ang)
+                           lambda pairs, m=op: m.apply_batch(pairs, noise=noise))
             else:
-                raise ValueError(f"unknown stage kind {kind!r}")
+                ang = op if noise is None else noise.perturb(op)
+                rows[:, 0::2] *= np.exp(1j * ang)
         return from_block_rows(state, (index_q, flag_q), rows)
 
     def apply_to_pair(self, vec4, noise=None) -> np.ndarray:
@@ -423,24 +439,24 @@ def _assemble_merge_gate(n_minus, make_n_plus, eps: float, label: str, digits: i
     """
     # Calibrate the corrective unitary and the expansion gate against the
     # flag-clear case, whose post-contraction state the chain leaves free.
-    leftover = CompositeNGate([("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)], 0.0,
+    leftover = CompositeNGate((("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)), 0.0,
                               eps).apply_to_pair(PAIR_CASE_INPUTS[2])
     correct = _pinning_unitary(leftover)
     pinned = correct @ leftover
     stray = math.hypot(abs(pinned[2]), abs(pinned[3]))
     if stray > 1e-9:
         notes += (f"pinning left {stray:.3g} outside the flag axis",)
-    stages = [
+    stages = (
         ("unitary2q", FOLD_UNITARY),
         ("flag_map", n_minus),
         ("unitary2q", correct),
         ("flag_map", make_n_plus(complex(pinned[0]), complex(pinned[1]))),
         ("flag_unitary", X_GATE),
         ("index_unitary", H_GATE),
-    ]
+    )
     out_c = CompositeNGate(stages, 0.0, eps).apply_to_pair(PAIR_CASE_INPUTS[2])
     mu = float(np.angle(np.vdot(PAIR_CASE_TARGETS[2], out_c)))
-    gate = CompositeNGate(stages + [("flag_phase", -mu)], 0.0, eps, notes=notes)
+    gate = CompositeNGate(stages + (("flag_phase", -mu),), 0.0, eps, notes=notes)
     fids = tuple(float(abs(np.vdot(target, gate.apply_to_pair(case))) ** 2)
                  for case, target in zip(PAIR_CASE_INPUTS, PAIR_CASE_TARGETS))
     gate.case_fidelities, gate.fidelity = fids, min(fids)

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import StateVector, _check_qubit
-
-BRUTE_FORCE_CAP = 24
+from .statevector import StateVector, _check_qubit, check_array_size
 
 
 class DimacsError(ValueError):
@@ -169,6 +167,7 @@ def _truth_table(var: CnfFormula | TruthTableOracle) -> np.ndarray:
     false: one strided slice of the table with an axis per variable.
     """
     n = var.num_vars
+    check_array_size("truth tables are", n, itemsize=1)
     if isinstance(var, TruthTableOracle):
         table = np.zeros(1 << n, dtype=bool)
         table[list(var.solutions)] = True
@@ -188,18 +187,13 @@ def _truth_table(var: CnfFormula | TruthTableOracle) -> np.ndarray:
 
 
 def truth_vector(oracle) -> np.ndarray:
-    """f(i) for every input i as a boolean array (num_vars <= 20)."""
-    var = _variant(oracle)
-    if var.num_vars > 20:
-        raise ValueError("truth_vector capped at 20 variables")
-    return _truth_table(var)
+    """f(i) for every input i as a boolean array."""
+    return _truth_table(_variant(oracle))
 
 
 def count_solutions_bruteforce(oracle) -> int:
-    """Exact solution count by exhaustive enumeration (num_vars <= 24)."""
+    """Exact solution count: the truth table's, or a CNF's by enumeration."""
     var = _variant(oracle)
-    if var.num_vars > BRUTE_FORCE_CAP:
-        raise ValueError(f"brute-force counting capped at {BRUTE_FORCE_CAP} variables")
     if isinstance(var, TruthTableOracle):
         return len(var.solutions)
     return int(np.count_nonzero(_truth_table(var)))

@@ -22,7 +22,22 @@ import numpy as np
 
 NORM_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
+# The one size limit of the package: the bytes of a dense 20-qubit
+# complex128 register (16 MiB).  Every array whose length is 2**n is
+# checked against it by check_array_size before it is allocated.
+ARRAY_BUDGET_BYTES = 16 << 20
 _WH_MAX_RUN = 4  # qubits per Walsh-Hadamard matrix in apply_hadamard_layer
+
+
+def check_array_size(what: str, n: int, itemsize: int = 16, extra_bits: int = 0) -> None:
+    """Refuse an array of 2**(n + extra_bits) items of itemsize bytes larger
+    than ARRAY_BUDGET_BYTES; the message names the largest n that fits."""
+    cap = (ARRAY_BUDGET_BYTES // itemsize).bit_length() - 1 - extra_bits
+    if n > cap:
+        raise ValueError(
+            f"{what} capped at n = {cap}: n = {n} needs 2**{n + extra_bits} x {itemsize}"
+            f" bytes, above the {ARRAY_BUDGET_BYTES >> 20} MiB array budget"
+        )
 
 
 def make_rng(seed: int | None = 0) -> np.random.Generator:
@@ -40,8 +55,7 @@ class StateVector:
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
-        if self.num_qubits > 20:
-            raise ValueError(f"num_qubits={self.num_qubits} above the ~20 qubit desk-scale cap")
+        check_array_size("registers are", self.num_qubits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.num_qubits,):
             raise ValueError(
@@ -80,6 +94,7 @@ def new_basis_state(num_qubits: int, basis_index: int) -> StateVector:
         raise ValueError(
             f"basis_index {basis_index} out of range for {num_qubits} qubits"
         )
+    check_array_size("registers are", num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[basis_index] = 1.0
     return StateVector(num_qubits, amps)
@@ -279,18 +294,12 @@ def conditional_qubit_state(
     """
     _check_qubit(state, target)
     n = state.num_qubits
-    others = [q for q in range(n) if q != target]
     if not 0 <= other_basis < (1 << (n - 1)):
         raise ValueError(f"pattern {other_basis} out of range for {n - 1} qubits")
-    base = 0
-    m = len(others)
-    for j, q in enumerate(others):
-        bit = (other_basis >> (m - 1 - j)) & 1
-        base |= bit << (n - 1 - q)
-    i0 = base
-    i1 = base | (1 << (n - 1 - target))
+    low = n - 1 - target  # the bits of the qubits after target keep their place
+    i0 = (other_basis >> low << (low + 1)) | (other_basis & ((1 << low) - 1))
     a0 = complex(state.amplitudes[i0])
-    a1 = complex(state.amplitudes[i1])
+    a1 = complex(state.amplitudes[i0 | (1 << low)])
     weight = abs(a0) ** 2 + abs(a1) ** 2
     if weight == 0.0:
         return 0.0, 0j, 0j

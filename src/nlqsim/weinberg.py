@@ -64,18 +64,19 @@ class HbarFunction:
         return len(self.coefficients) - 1
 
     def value(self, a):
-        return npoly.polyval(a, self.coefficients)
+        return self.value_and_derivative(a)[0]
 
     def derivative(self, a):
-        dcoefs = npoly.polyder(self.coefficients)
-        if len(dcoefs) == 0:
-            return np.zeros_like(np.asarray(a, dtype=float)) + 0.0 if np.ndim(a) else 0.0
-        return npoly.polyval(a, dcoefs)
+        return self.value_and_derivative(a)[1]
 
-    def value_and_derivative(self, a: float):
-        """(hbar(a), hbar'(a)) for a float a by scalar Horner; hbar' of a
-        constant profile is exactly 0.0."""
+    def value_and_derivative(self, a):
+        """(hbar(a), hbar'(a)) by Horner, for a float or an array a (bitwise
+        npoly.polyval on arrays); hbar' of a constant profile is exactly 0.0,
+        or an array of zeros."""
         hb, tail, hp, dtail = self._horner
+        if not isinstance(a, float):  # arrays start as polyval's do: c + a * 0
+            a = np.asarray(a, dtype=float)
+            hb, hp = hb + a * 0.0, hp + a * 0.0
         for c in tail:
             hb = hb * a + c
         for c in dtail:
@@ -101,19 +102,9 @@ class PhaseAlignedHbar(HbarFunction):
     q_at_w: float = 0.0
     q_slope: float = 0.0
 
-    def _q(self, a):
-        return self.q_at_w + (np.asarray(a, dtype=float) - self.w) * self.q_slope
-
-    def value(self, a):
-        out = (np.asarray(a, dtype=float) - self.z) ** 2 * self._q(a)
-        return float(out) if np.ndim(a) == 0 else out
-
-    def derivative(self, a):
-        az = np.asarray(a, dtype=float) - self.z
-        out = 2.0 * az * self._q(a) + az**2 * self.q_slope
-        return float(out) if np.ndim(a) == 0 else out
-
-    def value_and_derivative(self, a: float):
+    def value_and_derivative(self, a):
+        if not isinstance(a, float):
+            a = np.asarray(a, dtype=float)
         az = a - self.z
         sq = az * az  # numpy's az**2 multiplies; it does not call pow
         q = self.q_at_w + (a - self.w) * self.q_slope
@@ -157,8 +148,7 @@ def hbar_value(h: HbarFunction, a: float) -> float:
 
 def omega12(h: HbarFunction, a):
     """The two phase frequencies (w1, w2) at latitude a."""
-    hb = h.value(a)
-    hp = h.derivative(a)
+    hb, hp = h.value_and_derivative(a)
     return hb - a * hp, hb + (1.0 - a) * hp
 
 
@@ -282,12 +272,6 @@ def trajectory(c1: complex, c2: complex, h: HbarFunction, times, dt: float = 1e-
     return rows
 
 
-def _map_batch(nl_map, pairs: np.ndarray) -> np.ndarray:
-    if hasattr(nl_map, "apply_batch"):
-        return nl_map.apply_batch(pairs)
-    return nl_map(pairs)
-
-
 def lift_pairs(pairs: np.ndarray, nl_map) -> np.ndarray:
     """Map every branch pair (m, 2) in place at its normalized direction,
     keeping its weight; pairs of weight below 1e-14 are left untouched."""
@@ -301,7 +285,7 @@ def lift_pairs(pairs: np.ndarray, nl_map) -> np.ndarray:
     else:
         return pairs
     scale = np.sqrt(weights[sel])[:, None]
-    mapped = _map_batch(nl_map, pairs[sel] / scale)
+    mapped = getattr(nl_map, "apply_batch", nl_map)(pairs[sel] / scale)
     pairs[sel] = np.asarray(mapped, dtype=np.complex128) * scale
     return pairs
 

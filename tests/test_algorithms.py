@@ -541,8 +541,8 @@ def test_labelled_counting_reaches_n14():
         assert report.succeeded
         assert report.count == count_solutions_bruteforce(tt) == s
         assert report.oracle_calls == 1
-    with pytest.raises(ValueError, match="capped at n = 14"):
-        run_algorithm2_count(Alg2Config(n=15, oracle=spec_for(15, ()), counting=True))
+    with pytest.raises(ValueError, match="capped at n = 20"):
+        run_algorithm2_count(Alg2Config(n=21, oracle=spec_for(21, ()), counting=True))
 
 
 def test_labelled_counting_refuses_a_swept_qubit_off_plus(monkeypatch):

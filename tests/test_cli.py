@@ -239,16 +239,16 @@ def test_negative_budgets_are_rejected(capsys, command, flag, value):
 
 def test_alg2_solve_size_cap_is_a_one_line_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--algorithm", "alg2",
-                           "--truth-table", write_table(tmp_path, 15, []))
+                           "--truth-table", write_table(tmp_path, 20, []))
     assert_one_line_error(code, err)
-    assert "capped at n = 14" in err
+    assert "capped at n = 19" in err
 
 
 def test_alg2_count_size_cap_is_a_one_line_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", "--algorithm", "alg2",
-                           "--truth-table", write_table(tmp_path, 15, [1]))
+                           "--truth-table", write_table(tmp_path, 21, [1]))
     assert_one_line_error(code, err)
-    assert "capped at n = 14" in err
+    assert "capped at n = 20" in err
 
 
 def test_alg2_solution_guard_is_a_one_line_error(capsys):

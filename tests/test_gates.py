@@ -12,6 +12,7 @@ from nlqsim.weinberg import (
 )
 from nlqsim.gates import (
     BlochAngle,
+    CompositeNGate,
     ExpandTableMap,
     FOLD_UNITARY,
     MergeTableMap,
@@ -23,6 +24,8 @@ from nlqsim.gates import (
     build_N,
     build_n_minus,
     build_n_plus,
+    H_GATE,
+    X_GATE,
     ideal_merge_gate,
     n_minus_single_pass,
     rotation,
@@ -187,6 +190,18 @@ def test_build_N_audit_contains_stages():
 def test_build_N_unattainable_tolerance_fails():
     with pytest.raises(SynthesisError):
         build_N(None, 1e-16)
+
+
+@pytest.mark.parametrize("kind, matrix", [("unitary2q", FOLD_UNITARY),
+                                          ("flag_unitary", X_GATE), ("index_unitary", H_GATE)])
+def test_non_unitary_stage_raises_when_the_gate_is_built(kind, matrix):
+    stages = [("unitary2q", FOLD_UNITARY), (kind, 1.001 * matrix)]
+    with pytest.raises(ValueError, match="not unitary"):
+        CompositeNGate(stages, 0.0, 1e-3)
+    gate = CompositeNGate(stages[:1] + [(kind, matrix)], 0.0, 1e-3)
+    assert isinstance(gate.stages, tuple)  # no stage can be swapped in unchecked
+    with pytest.raises(TypeError):
+        gate.stages[1] = (kind, 1.001 * matrix)
 
 
 def test_ideal_merge_gate_is_exact():

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from nlqsim.algorithms import NoiseModel, _jittered_stretch, _stretch_pair
 from nlqsim.gates import (
@@ -503,6 +504,43 @@ def test_rk4_bitwise_equals_complex_form_on_constant_profiles(c):
     assert h.value_and_derivative(0.3)[1].hex() == "0x0.0p+0"  # 0.0, not 0 * c
     for c1, c2 in [random_pair(make_rng(5)), (0.6, 0.8), (0.6j, 0.8)]:
         assert bits(*evolve_integrated(c1, c2, h, 0.5, 1e-3)) == bits(*complex_rk4(c1, c2, h, 0.5, 1e-3))
+
+
+# -- profile evaluation: one Horner evaluator against numpy's polynomials --
+
+def reference_value_and_derivative(h, a):
+    """npoly.polyval and polyder for a plain profile; the factored form
+    (a - z)**2 * q(a) for a phase-aligned one."""
+    a = np.asarray(a, dtype=float)
+    if isinstance(h, PhaseAlignedHbar):
+        az = a - h.z
+        q = h.q_at_w + (a - h.w) * h.q_slope
+        return az**2 * q, 2.0 * az * q + az**2 * h.q_slope
+    return npoly.polyval(a, h.coefficients), npoly.polyval(a, npoly.polyder(h.coefficients))
+
+
+def test_profile_evaluator_equals_numpy_polynomials_bitwise():
+    rng = make_rng(606)
+    profiles = [HbarFunction(tuple(rng.normal(size=int(rng.integers(1, 8)))))
+                for _ in range(2000)]
+    profiles += [phase_aligned_hbar(*rng.uniform(0.0, 1.0, size=2)) for _ in range(500)]
+    for h in profiles:
+        a = rng.uniform(0.0, 1.0, size=64)
+        got, want = h.value_and_derivative(a), reference_value_and_derivative(h, a)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert h.value(a).tobytes() == got[0].tobytes()
+        assert h.derivative(a).tobytes() == got[1].tobytes()
+        for i in range(3):  # the float path, as the integrator calls it
+            assert h.value_and_derivative(float(a[i])) == (got[0][i], got[1][i])
+
+
+def test_constant_profile_evaluates_to_arrays_on_arrays():
+    h = HbarFunction((1.5,))
+    a = np.linspace(0.0, 1.0, 5)
+    value, slope = h.value_and_derivative(a)
+    assert value.shape == slope.shape == a.shape
+    assert np.all(value == 1.5) and not np.any(slope)
+    assert h.derivative(0.3) == 0.0 and h.value(0.3) == 1.5
 
 
 @pytest.mark.parametrize("c1, c2", [(0.0, 0.6 + 0.8j), (0.6 - 0.8j, 0.0), (0.0j, 1.0), (0.8, 0.6j)])
