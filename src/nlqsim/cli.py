@@ -174,12 +174,20 @@ def cmd_dynamics(args) -> int:
         vals = [float(x) for x in parts]
     except ValueError as exc:
         raise CliError(f"invalid --initial: {exc}") from exc
+    # x * x overflows to inf where the library's abs(c) ** 2 would raise,
+    # and a nan or inf part makes the sum nan or inf
+    if not 0.0 < sum(x * x for x in vals) < math.inf:
+        raise CliError(f"--initial must be four finite reals with a positive, finite "
+                       f"squared norm, got {args.initial}")
+    if not (args.t_max >= 0.0 and math.isfinite(args.t_max)):
+        raise CliError(f"invalid time grid: --t-max must be nonnegative and finite, "
+                       f"got {args.t_max}")
+    if not (args.dt > 0.0 and math.isfinite(args.dt)):
+        raise CliError(f"invalid time grid: --dt must be positive and finite, got {args.dt}")
+    if args.points < 1:
+        raise CliError(f"invalid time grid: --points must be >= 1, got {args.points}")
     c1 = complex(vals[0], vals[1])
     c2 = complex(vals[2], vals[3])
-    if abs(c1) ** 2 + abs(c2) ** 2 <= 0:
-        raise CliError("--initial must have positive norm")
-    if args.points < 1 or args.t_max < 0 or args.dt <= 0:
-        raise CliError("invalid time grid")
     times = np.linspace(0.0, args.t_max, args.points)
     rows = trajectory(c1, c2, h, times, dt=args.dt)
     lines = ["t\tre_c1\tim_c1\tre_c2\tim_c2\tresidual"]

@@ -480,8 +480,8 @@ def build_N(h: HbarFunction | None, eps: float) -> CompositeNGate:
     operating latitude depends on the measured leftover state); a
     caller-supplied h applies to the contraction stage only.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     budget = math.sqrt(eps)
     try:
         n_minus = build_n_minus(h, budget)

@@ -197,53 +197,137 @@ def evolve_integrated(c1: complex, c2: complex, h: HbarFunction, t: float, dt: f
     operation order of complex arithmetic (a real factor times a complex
     number is exact per part), so the result is bitwise that of the
     complex form; only a part given as -0.0 may come out as a zero of the
-    other sign.
+    other sign.  A step that overflows raises ValueError.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise ValueError(f"t must be nonnegative and finite, got {t!r}")
     if t / dt > MAX_INTEGRATION_STEPS:
         raise ValueError(f"t/dt = {t / dt:.3g} exceeds the step-count guard")
     n0 = abs(c1) ** 2 + abs(c2) ** 2
-    if n0 <= 0.0:
+    if n0 <= 0.0 or not math.isfinite(n0):
         raise ValueError("zero-norm pair cannot be evolved")
 
+    # One flat loop, each stage's right-hand side written out:
+    #   dh/dpsi1* = hbar * psi1 + n hbar' * (-(a / n) * psi1), times -1j,
+    # on (re, im) parts.  Squares go through libm pow, as x**2 does (x*x
+    # does not always match it in the last bit); math.pow is the cheaper
+    # call.  A plain profile is evaluated by Horner here, exactly as
+    # HbarFunction.value_and_derivative does on a float; a profile that
+    # overrides it (PhaseAlignedHbar) is called.
+    pw = math.pow
+    horner = type(h).value_and_derivative is HbarFunction.value_and_derivative
+    hb0, tail, hp0, dtail = h._horner
     vd = h.value_and_derivative
-
-    def rhs(p, q, r, s):
-        # -1j * dh/dpsi* on (re, im) parts; squares stay x**2 (libm pow,
-        # which x*x does not always match in the last bit).
-        # dh/dpsi1* = hbar * psi1 + n hbar' * (-(a / n) * psi1)
-        w2 = r**2 + s**2
-        n = (p**2 + q**2) + w2
-        a = w2 / n
-        hb, hp = vd(a)
-        g = n * hp
-        f1 = -(a / n)
-        f2 = (1.0 - a) / n
-        return (hb * q + g * (f1 * q), -(hb * p + g * (f1 * p)),
-                hb * s + g * (f2 * s), -(hb * r + g * (f2 * r)))
-
-    def step(p, q, r, s, hstep):
-        h2 = 0.5 * hstep
-        p1, q1, r1, s1 = rhs(p, q, r, s)
-        p2, q2, r2, s2 = rhs(p + h2 * p1, q + h2 * q1, r + h2 * r1, s + h2 * s1)
-        p3, q3, r3, s3 = rhs(p + h2 * p2, q + h2 * q2, r + h2 * r2, s + h2 * s2)
-        p4, q4, r4, s4 = rhs(p + hstep * p3, q + hstep * q3, r + hstep * r3, s + hstep * s3)
-        h6 = hstep / 6.0
-        return (p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4), q + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
-                r + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4), s + h6 * (s1 + 2.0 * s2 + 2.0 * s3 + s4))
-
     c1, c2 = complex(c1), complex(c2)
-    y = (c1.real, c1.imag, c2.real, c2.imag)
+    p, q, r, s = c1.real, c1.imag, c2.real, c2.imag
     nsteps = int(t / dt)
-    for _ in range(nsteps):
-        y = step(*y, dt)
     rest = t - nsteps * dt
-    if rest > 1e-15:
-        y = step(*y, rest)
-    return complex(y[0], y[1]), complex(y[2], y[3])
+    try:
+        for hs, count in ((dt, nsteps), (rest, 1 if rest > 1e-15 else 0)):
+            h2, h6 = 0.5 * hs, hs / 6.0
+            for _ in range(count):
+                w2 = pw(r, 2.0) + pw(s, 2.0)
+                n = (pw(p, 2.0) + pw(q, 2.0)) + w2
+                a = w2 / n
+                if horner:
+                    hb = hb0
+                    for c in tail:
+                        hb = hb * a + c
+                    hp = hp0
+                    for c in dtail:
+                        hp = hp * a + c
+                else:
+                    hb, hp = vd(a)
+                g = n * hp
+                f1 = -(a / n)
+                f2 = (1.0 - a) / n
+                p1 = hb * q + g * (f1 * q)
+                q1 = -(hb * p + g * (f1 * p))
+                r1 = hb * s + g * (f2 * s)
+                s1 = -(hb * r + g * (f2 * r))
+
+                yp = p + h2 * p1
+                yq = q + h2 * q1
+                yr = r + h2 * r1
+                ys = s + h2 * s1
+                w2 = pw(yr, 2.0) + pw(ys, 2.0)
+                n = (pw(yp, 2.0) + pw(yq, 2.0)) + w2
+                a = w2 / n
+                if horner:
+                    hb = hb0
+                    for c in tail:
+                        hb = hb * a + c
+                    hp = hp0
+                    for c in dtail:
+                        hp = hp * a + c
+                else:
+                    hb, hp = vd(a)
+                g = n * hp
+                f1 = -(a / n)
+                f2 = (1.0 - a) / n
+                p2 = hb * yq + g * (f1 * yq)
+                q2 = -(hb * yp + g * (f1 * yp))
+                r2 = hb * ys + g * (f2 * ys)
+                s2 = -(hb * yr + g * (f2 * yr))
+
+                yp = p + h2 * p2
+                yq = q + h2 * q2
+                yr = r + h2 * r2
+                ys = s + h2 * s2
+                w2 = pw(yr, 2.0) + pw(ys, 2.0)
+                n = (pw(yp, 2.0) + pw(yq, 2.0)) + w2
+                a = w2 / n
+                if horner:
+                    hb = hb0
+                    for c in tail:
+                        hb = hb * a + c
+                    hp = hp0
+                    for c in dtail:
+                        hp = hp * a + c
+                else:
+                    hb, hp = vd(a)
+                g = n * hp
+                f1 = -(a / n)
+                f2 = (1.0 - a) / n
+                p3 = hb * yq + g * (f1 * yq)
+                q3 = -(hb * yp + g * (f1 * yp))
+                r3 = hb * ys + g * (f2 * ys)
+                s3 = -(hb * yr + g * (f2 * yr))
+
+                yp = p + hs * p3
+                yq = q + hs * q3
+                yr = r + hs * r3
+                ys = s + hs * s3
+                w2 = pw(yr, 2.0) + pw(ys, 2.0)
+                n = (pw(yp, 2.0) + pw(yq, 2.0)) + w2
+                a = w2 / n
+                if horner:
+                    hb = hb0
+                    for c in tail:
+                        hb = hb * a + c
+                    hp = hp0
+                    for c in dtail:
+                        hp = hp * a + c
+                else:
+                    hb, hp = vd(a)
+                g = n * hp
+                f1 = -(a / n)
+                f2 = (1.0 - a) / n
+                p4 = hb * yq + g * (f1 * yq)
+                q4 = -(hb * yp + g * (f1 * yp))
+                r4 = hb * ys + g * (f2 * ys)
+                s4 = -(hb * yr + g * (f2 * yr))
+
+                p = p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+                q = q + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+                r = r + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                s = s + h6 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+    except OverflowError as exc:
+        raise ValueError(f"the RK4 step overflowed: dt = {dt:g} is too large "
+                         "for this profile and state") from exc
+    return complex(p, q), complex(r, s)
 
 
 def trajectory(c1: complex, c2: complex, h: HbarFunction, times, dt: float = 1e-3):

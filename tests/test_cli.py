@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -272,6 +273,27 @@ def test_dynamics_step_guard_covers_the_whole_trajectory(capsys):
     assert time.monotonic() - started < 0.5
     assert_one_line_error(code, err)
     assert "step-count guard" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["dynamics", "--dt", "inf"], "--dt"),  # took no step, printed a residual
+    (["dynamics", "--dt", "nan"], "--dt"),
+    (["dynamics", "--t-max", "nan"], "--t-max"),  # all-NaN table
+    (["dynamics", "--t-max", "inf"], "--t-max"),  # numpy warning first
+    (["dynamics", "--initial=1e200,0,1e200,0"], "--initial"),  # OverflowError
+    (["dynamics", "--initial=nan,0,1,0"], "--initial"),
+    (["dynamics", "--initial=1e154,0,1e154,0"], "--initial"),  # each square finite, sum not
+    (["dynamics", "--hbar", "1e10", "--t-max", "1", "--points", "2"], "overflowed"),
+    (["ngate-verify", "--eps", "nan"], "eps"),
+    (["ngate-verify", "--eps", "inf"], "eps"),  # exit 2, synthesis failed
+])
+def test_non_finite_numbers_are_one_line_errors(capsys, argv, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, err)
+    assert named in err
+    assert out == ""
 
 
 def test_reports_echo_budgets_and_gate_realization(capsys):

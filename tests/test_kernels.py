@@ -551,6 +551,22 @@ def test_rk4_bitwise_equals_complex_form_with_zero_parts_and_a_remainder_step(c1
             assert bits(*evolve_integrated(c1, c2, h, t, dt)) == bits(*complex_rk4(c1, c2, h, t, dt))
 
 
+def test_rk4_bitwise_equals_complex_form_on_random_profiles_pairs_and_remainders():
+    rng = make_rng(1313)
+    for case in range(60):
+        if case % 6 == 5:
+            h = phase_aligned_hbar(*rng.uniform(0.05, 0.95, size=2))
+        else:
+            h = HbarFunction(tuple(rng.normal(size=int(rng.integers(1, 8)))))
+        parts = rng.normal(size=4) * 10.0 ** rng.uniform(-2.0, 2.0)
+        parts[rng.permutation(4)[:int(rng.integers(0, 4))]] = 0.0  # up to three zero parts
+        c1, c2 = complex(parts[0], parts[1]), complex(parts[2], parts[3])
+        dt = 10.0 ** rng.uniform(-4.0, -2.0)
+        t = dt * (int(rng.integers(0, 300)) + rng.uniform(0.1, 0.9))
+        assert t - int(t / dt) * dt > 1e-15  # a remainder step is taken
+        assert bits(*evolve_integrated(c1, c2, h, t, dt)) == bits(*complex_rk4(c1, c2, h, t, dt))
+
+
 # -- phase-time search: branch and bound against the dense scan ------------
 
 def dense_phase_search(h, phi, eps, t_max):

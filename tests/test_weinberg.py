@@ -137,6 +137,26 @@ def test_zero_norm_rejected():
         evolve_closed_form(0.0, 0.0, SQUARE, 1.0)
 
 
+@pytest.mark.parametrize("t, dt", [(1.0, math.inf), (1.0, math.nan), (1.0, 0.0),
+                                   (math.nan, 1e-3), (math.inf, 1e-3), (-1.0, 1e-3)])
+def test_integrator_refuses_bad_times(t, dt):
+    # dt = inf used to take no step at all and return the input unchanged
+    with pytest.raises(ValueError, match="must be"):
+        evolve_integrated(0.6, 0.8, SQUARE, t, dt)
+
+
+@pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (math.nan, 0.8), (math.inf, 0.0)])
+def test_integrator_refuses_pairs_without_a_finite_norm(c1, c2):
+    with pytest.raises(ValueError, match="zero-norm"):
+        evolve_integrated(c1, c2, SQUARE, 1.0, 1e-3)
+
+
+def test_integrator_overflow_is_a_value_error():
+    # h * omega = 1e7 per step: every RK4 step multiplies the state by ~1e26
+    with pytest.raises(ValueError, match="overflowed"):
+        evolve_integrated(0.6, 0.8, HbarFunction((1e10,)), 1.0, 1e-3)
+
+
 def test_homogeneity_examples():
     rng = make_rng(3)
     c1, c2 = random_pair(rng)
