@@ -29,6 +29,14 @@ counting variant replaces the flag by one integer counter label per
 branch and the merge gate by an exact branch-table map that adds the two
 labels of every pair; each of its sweeps halves the branches.
 
+Run frame: the four drivers share one frame (`_driver`) that checks the
+config against the oracle and the array budget, seeds the rng and noise
+model, and on every exit sets oracle_calls from the oracle's counter.
+The drivers record trials, applications and trajectory points as they
+happen, so a report that stops on a budget keeps the work done so far.
+`run_algorithm2` refuses counting configs: they run through
+`run_algorithm2_count`.
+
 Noise model: every runtime rotation angle and every stretch-map exponent
 is jittered by Gaussian(0, sigma) per invocation.  Fixed matrices (the
 Hadamards, NOT, fold and corrective unitaries) carry no angle parameter
@@ -148,19 +156,35 @@ class Alg2Config:
     n: int
     oracle: OracleSpec
     gate: CompositeNGate | None = None
-    counting: bool = False
+    counting: bool = False  # run_algorithm2 refuses True; the counting driver takes either
     counter_width: int | None = None
     noise_sigma: float = 0.0
     seed: int = 0
 
 
-def _checked_oracle(cfg, kind: str, extra_qubits: int) -> OracleSpec:
-    """The config's oracle, once cfg.n matches it and the run's register of
-    n + extra_qubits qubits fits the array budget."""
-    if cfg.n != cfg.oracle.num_vars:
-        raise ValueError(f"config n={cfg.n} does not match oracle ({cfg.oracle.num_vars} vars)")
-    check_array_size(f"{kind} runs are", cfg.n, extra_bits=extra_qubits)
-    return cfg.oracle
+def _driver(kind: str, extra_qubits: int):
+    """Turn `body(cfg, noise, report)` into the driver `run(cfg) -> RunReport`.
+
+    `run` checks cfg.n against the oracle and a register of n +
+    extra_qubits qubits against the array budget, then hands the body
+    the seeded noise model and an empty report to fill.  Whenever the
+    body returns, `run` sets oracle_calls from the oracle's counter.
+    """
+    def frame(body):
+        @functools.wraps(body)
+        def run(cfg) -> RunReport:
+            if cfg.n != cfg.oracle.num_vars:
+                raise ValueError(
+                    f"config n={cfg.n} does not match oracle ({cfg.oracle.num_vars} vars)")
+            check_array_size(f"{kind} runs are", cfg.n, extra_bits=extra_qubits)
+            report = RunReport()
+            calls_before = cfg.oracle.call_counter
+            body(cfg, NoiseModel(cfg.noise_sigma, make_rng(cfg.seed)), report)
+            report.oracle_calls = cfg.oracle.call_counter - calls_before
+            return report
+        del run.__wrapped__  # help() and inspect show run(cfg), not the body's parameters
+        return run
+    return frame
 
 
 def flag_theta(n: int, s: int) -> float:
@@ -211,24 +235,17 @@ def _prepare_flag_state(n: int, oracle: OracleSpec, rng, max_trials: int):
     return None, trials, None
 
 
-def run_algorithm1(cfg: Alg1Config) -> RunReport:
+@_driver("flag-amplification", 1)
+def run_algorithm1(cfg: Alg1Config, noise: NoiseModel, report: RunReport):
     """Decide s = 0 versus s > 0 with the stretch-map amplification."""
-    oracle = _checked_oracle(cfg, "flag-amplification", 1)
-    rng = make_rng(cfg.seed)
-    noise = NoiseModel(cfg.noise_sigma, rng)
     m = cfg.stretch
-    report = RunReport()
-    calls_before = oracle.call_counter
-
-    prep, trials, p_zero = _prepare_flag_state(cfg.n, oracle, rng, cfg.trial_budget())
-    report.trials_used = trials
-    report.oracle_calls = oracle.call_counter - calls_before
-    if prep is None:
+    pair, report.trials_used, _ = _prepare_flag_state(
+        cfg.n, cfg.oracle, noise.rng, cfg.trial_budget())
+    if pair is None:
         report.notes.append("trial budget exhausted before the zero pattern was seen")
-        return report
-    if trials > 1:
+        return
+    if report.trials_used > 1:
         report.notes.append("oracle re-called on failed trials")
-    pair = prep
     report.post_measurement_flag_amplitude = float(abs(pair[1]))
 
     theta_edge = m.theta0 - m.eta / 2.0
@@ -239,14 +256,14 @@ def run_algorithm1(cfg: Alg1Config) -> RunReport:
     theta_min = flag_theta(cfg.n, 1)
     amplify_cap = math.ceil(math.log2((m.eta / 2.0) / theta_min)) + 2
 
-    traj = []
-    apps = 0
+    traj = report.separation_trajectory
     crossed_at = None
     while True:  # amplification: stretch + re-center the reference
+        apps = report.applications_used
         theta_act = state_bloch(*pair).theta
         traj.append((apps, bloch_distance(state_bloch(*pair), BlochAngle(ref, 0.0))))
         if crossed_at is None and theta_act > threshold:
-            crossed_at = apps
+            report.applications_to_threshold = crossed_at = apps
         if crossed_at is not None and theta_act >= m.theta0 + m.eta / 4.0:
             break
         if crossed_at is None and apps >= amplify_cap:
@@ -255,32 +272,30 @@ def run_algorithm1(cfg: Alg1Config) -> RunReport:
             break
         pair = _stretch_pair(pair, _jittered_stretch(m, noise))
         pair = _rotate_pair(pair, ref - m.polar_map(ref), noise)
-        apps += 1
+        report.applications_used += 1
 
     while True:  # resolution: the unstable center splits the poles
         theta_act = state_bloch(*pair).theta
         resolved = ref <= RESOLVE_MARGIN and (
             crossed_at is None or theta_act >= math.pi - RESOLVE_MARGIN)
-        if resolved or apps >= cfg.max_applications:
+        if resolved or report.applications_used >= cfg.max_applications:
             break
         pair = _stretch_pair(pair, _jittered_stretch(m, noise))
         ref = float(m.polar_map(ref))
-        apps += 1
-        traj.append((apps, bloch_distance(state_bloch(*pair), BlochAngle(ref, 0.0))))
+        report.applications_used += 1
+        traj.append((report.applications_used,
+                     bloch_distance(state_bloch(*pair), BlochAngle(ref, 0.0))))
 
-    report.applications_used = apps
-    report.applications_to_threshold = crossed_at
-    report.separation_trajectory = traj
     if not resolved:  # an unresolved flag would decide by chance: no decision
         report.notes.append("application budget exhausted before full resolution")
-        return report
-    record, _ = measure_qubits(StateVector(1, np.array(pair)), [0], rng)
+        return
+    record, _ = measure_qubits(StateVector(1, np.array(pair)), [0], noise.rng)
     report.decision = "solution-exists" if record.outcome_bits == 1 else "no-solution"
     report.succeeded = True
-    return report
 
 
-def run_algorithm1_count(cfg: Alg1Config) -> RunReport:
+@_driver("flag-amplification", 1)
+def run_algorithm1_count(cfg: Alg1Config, noise: NoiseModel, report: RunReport):
     """Exact solution count by binary search on the flag angle.
 
     Each round re-prepares the post-selected flag state (one oracle call
@@ -288,27 +303,18 @@ def run_algorithm1_count(cfg: Alg1Config) -> RunReport:
     map's unstable center, and lets the dynamics push the two boundary
     hypotheses to opposite poles before measuring.
     """
-    oracle = _checked_oracle(cfg, "flag-amplification", 1)
-    rng = make_rng(cfg.seed)
-    noise = NoiseModel(cfg.noise_sigma, rng)
     m = cfg.stretch
-    report = RunReport()
-    calls_before = oracle.call_counter
-
+    traj = report.separation_trajectory
     lo, hi = 0, 1 << cfg.n
     rounds = 0
-    apps_total = 0
-    traj = []
     while lo < hi:
         rounds += 1
         mid = (lo + hi) // 2
-        prep, trials, _ = _prepare_flag_state(cfg.n, oracle, rng, cfg.trial_budget())
+        pair, trials, _ = _prepare_flag_state(cfg.n, cfg.oracle, noise.rng, cfg.trial_budget())
         report.trials_used += trials
-        if prep is None:
-            report.oracle_calls = oracle.call_counter - calls_before
+        if pair is None:
             report.notes.append(f"trial budget exhausted in round {rounds}")
-            return report
-        pair = prep
+            return
         th_lo = flag_theta(cfg.n, mid)
         th_hi = flag_theta(cfg.n, mid + 1)
         delta = m.theta0 - 0.5 * (th_lo + th_hi)
@@ -322,25 +328,19 @@ def run_algorithm1_count(cfg: Alg1Config) -> RunReport:
             ref_lo = float(m.polar_map(ref_lo))
             ref_hi = float(m.polar_map(ref_hi))
             apps += 1
-            apps_total += 1
-            traj.append((apps_total, ref_hi - ref_lo))
+            report.applications_used += 1
+            traj.append((report.applications_used, ref_hi - ref_lo))
         if not (ref_lo <= RESOLVE_MARGIN and ref_hi >= math.pi - RESOLVE_MARGIN):
-            report.oracle_calls = oracle.call_counter - calls_before
-            report.applications_used = apps_total
             report.notes.append(f"application budget exhausted in round {rounds}")
-            return report
-        record, _ = measure_qubits(StateVector(1, np.array(pair)), [0], rng)
+            return
+        record, _ = measure_qubits(StateVector(1, np.array(pair)), [0], noise.rng)
         if record.outcome_bits == 1:
             lo = mid + 1
         else:
             hi = mid
     report.count = lo
-    report.oracle_calls = oracle.call_counter - calls_before
-    report.applications_used = apps_total
-    report.separation_trajectory = traj
     report.notes.append(f"{rounds} bisection rounds")
     report.succeeded = True
-    return report
 
 
 def _flag_one_census(state: StateVector, n: int, dropped: int) -> int:
@@ -380,32 +380,30 @@ def _flag_mixedness(state: StateVector, flag: int) -> float:
     return float(max(0.0, eigs[0].real))
 
 
-def run_algorithm2(cfg: Alg2Config) -> RunReport:
+@_driver("pair-merge", 1)
+def run_algorithm2(cfg: Alg2Config, noise: NoiseModel, report: RunReport):
     """Single-query decision via the pair-merge cascade."""
-    oracle = _checked_oracle(cfg, "pair-merge", 1)
-    if not cfg.counting:
-        s = count_solutions_bruteforce(oracle)
-        if s > 1:
-            raise ValueError(
-                f"decision variant requires at most one solution, oracle has {s}"
-            )
+    if cfg.counting:
+        raise ValueError("counting configs run through run_algorithm2_count, not the decision driver")
+    s = count_solutions_bruteforce(cfg.oracle)
+    if s > 1:
+        raise ValueError(f"decision variant requires at most one solution, oracle has {s}")
     gate = cfg.gate if cfg.gate is not None else table_merge_gate()
-    rng = make_rng(cfg.seed)
-    noise = NoiseModel(cfg.noise_sigma, rng)
-    report = RunReport()
-    calls_before = oracle.call_counter
 
     state = apply_hadamard_layer(new_basis_state(cfg.n + 1, 0), range(cfg.n))
-    state = apply_oracle(state, range(cfg.n), cfg.n, oracle)
+    state = apply_oracle(state, range(cfg.n), cfg.n, cfg.oracle)
+    report.trials_used = 1
     # Only exact table flag maps (tolerance 0) may shrink the register: a
     # sandwich gate's evolution shears a 1e-16 change of its input into an
     # O(1) change of P(flag = 1) a few sweeps later, so it runs dense.
     # Swept qubits that stay sit in front of the unswept ones, so the next
     # index qubit is at position `kept`; the flag stays last.
     shrink = all(m.tolerance == 0.0 for kind, m in gate.stages if kind == "flag_map")
-    census, kept, dropped, dropped_residue = [], 0, 0, 0.0
+    report.flag_one_census = census = []
+    kept, dropped, dropped_residue = 0, 0, 0.0
     for _ in range(cfg.n):
         state = gate.apply_to_register(state, kept, state.num_qubits - 1, noise=noise)
+        report.applications_used += 1
         amps = None
         if shrink:
             amps, residue = _drop_plus_qubit(state.amplitudes, kept)
@@ -427,14 +425,9 @@ def run_algorithm2(cfg: Alg2Config) -> RunReport:
     report.post_measurement_flag_amplitude = math.sqrt(
         probability_of_pattern(state, [flag], 1)
     )
-    record, _ = measure_qubits(state, [flag], rng)
+    record, _ = measure_qubits(state, [flag], noise.rng)
     report.decision = "solution-exists" if record.outcome_bits == 1 else "no-solution"
-    report.oracle_calls = oracle.call_counter - calls_before
-    report.trials_used = 1
-    report.applications_used = cfg.n
-    report.flag_one_census = census
     report.succeeded = True
-    return report
 
 
 class CounterOverflowError(Exception):
@@ -453,7 +446,8 @@ def _merge_counters(labels: np.ndarray, width: int) -> np.ndarray:
     return csum
 
 
-def run_algorithm2_count(cfg: Alg2Config) -> RunReport:
+@_driver("counting cascade", 0)
+def run_algorithm2_count(cfg: Alg2Config, noise: NoiseModel, report: RunReport):
     """Exact solution count via the merge cascade on labelled branches.
 
     Branch i carries an amplitude and its counter value as an integer
@@ -462,34 +456,29 @@ def run_algorithm2_count(cfg: Alg2Config) -> RunReport:
     their labels, and drops that qubit, which the merge leaves in |+>:
     2**(n-k) amplitudes and labels remain, and the last branch holds the
     count.  A pair whose amplitudes differ stops the run with a note
-    instead of being merged.
+    instead of being merged.  The run's one trial and its n merges are
+    recorded only once the count is read out, so an early exit reports
+    0 and 0.  The noise model draws nothing: the cascade has no angles.
     """
-    oracle = _checked_oracle(cfg, "counting cascade", 0)
     width = cfg.counter_width if cfg.counter_width is not None else cfg.n + 1
     if width < 1:
         raise ValueError("counter_width must be >= 1")
-    report = RunReport()
-    calls_before = oracle.call_counter
 
     amps = apply_hadamard_layer(new_basis_state(cfg.n, 0), range(cfg.n)).amplitudes
-    labels = truth_vector(oracle).astype(np.int64)
-    oracle.call_counter += 1  # the coherent counting query
+    labels = truth_vector(cfg.oracle).astype(np.int64)
+    cfg.oracle.call_counter += 1  # the coherent counting query
     for k in range(cfg.n):
         amps, residue = _drop_plus_qubit(amps, 0)
         if amps is None:
-            report.oracle_calls = oracle.call_counter - calls_before
             report.notes.append(f"index qubit {k} left |+> by residue {residue:.3g}")
-            return report
+            return
         try:
             labels = _merge_counters(labels.reshape(2, -1), width)
         except CounterOverflowError as exc:
-            report.oracle_calls = oracle.call_counter - calls_before
             report.notes.append(f"counter overflow: {exc}")
-            return report
+            return
 
     report.count = int(labels[0])  # read out with probability 1 - (dropped residues)
-    report.oracle_calls = oracle.call_counter - calls_before
     report.trials_used = 1
     report.applications_used = cfg.n
     report.succeeded = True
-    return report

@@ -104,8 +104,13 @@ def _check_budgets(args):
         raise CliError(f"--max-trials must be >= 1, got {args.max_trials}")
 
 
-def _config_echo(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
+# Parsed flags that say where the oracle comes from or where and how the
+# report is written; every other flag shapes the run and is echoed.
+_NOT_ECHOED = ("command", "func", "input", "truth_table", "out", "timing")
+
+
+def _config_echo(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
 
 
 def _alg1_config(args, oracle: OracleSpec, **extra) -> Alg1Config:
@@ -136,8 +141,7 @@ def cmd_solve(args) -> int:
         )
         report = run_algorithm2(cfg)
     wall = time.monotonic() - started if args.timing else None
-    echo = _config_echo(args, ("algorithm", "seed", "noise_sigma", "eps", "lam", "eta",
-                               "theta0", "threshold", "max_applications", "max_trials"))
+    echo = _config_echo(args)
     echo["gate_realization"] = "table" if args.algorithm == "alg2" else None
     _write_text(args.out, _report_document("solve", echo, report.to_dict(), wall))
     return 0 if report.succeeded else 2
@@ -159,9 +163,7 @@ def cmd_count(args) -> int:
         )
         report = run_algorithm2_count(cfg)
     wall = time.monotonic() - started if args.timing else None
-    echo = _config_echo(args, ("algorithm", "seed", "noise_sigma", "lam", "eta",
-                               "theta0", "counter_width", "max_applications", "max_trials"))
-    _write_text(args.out, _report_document("count", echo, report.to_dict(), wall))
+    _write_text(args.out, _report_document("count", _config_echo(args), report.to_dict(), wall))
     return 0 if report.succeeded else 2
 
 
@@ -211,8 +213,7 @@ def cmd_ngate_verify(args) -> int:
         "eps": args.eps,
         "audit": gate.audit(),
     }
-    echo = _config_echo(args, ("eps", "hbar"))
-    _write_text(args.out, _report_document("ngate-verify", echo, payload, None))
+    _write_text(args.out, _report_document("ngate-verify", _config_echo(args), payload, None))
     return 0 if min(fidelities) >= 1.0 - args.eps else 2
 
 

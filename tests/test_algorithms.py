@@ -191,6 +191,16 @@ def test_algorithm2_rejects_multiple_solutions_when_deciding():
         run_algorithm2(Alg2Config(n=3, oracle=spec_for(3, (1, 2)), seed=0))
 
 
+def test_algorithm2_refuses_counting_configs():
+    # the decision cascade would skip its s <= 1 guard and read two
+    # solutions as "no-solution" with a flag amplitude of 6e-17
+    cfg = Alg2Config(n=3, oracle=OracleSpec(TruthTableOracle(3, (1, 5))), counting=True)
+    with pytest.raises(ValueError, match="run_algorithm2_count"):
+        run_algorithm2(cfg)
+    assert cfg.oracle.call_counter == 0
+    assert run_algorithm2_count(cfg).count == 2
+
+
 def test_algorithm2_with_synthesized_gate_single_iteration():
     # the sandwich-built gate drives a full run at n = 1, where its inputs
     # are exactly its calibration states

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from nlqsim.algorithms import Alg1Config, run_algorithm1, run_algorithm1_count
-from nlqsim.cli import main
+from nlqsim.cli import build_parser, main
 from nlqsim.gates import StretchMap
 from nlqsim.oracle import OracleSpec, load_truth_table
 
@@ -89,7 +90,9 @@ def test_count_budget_exhaustion_exits_2(capsys):
                            "--truth-table", fx("two_solutions.json"),
                            "--counter-width", "1")
     assert code == 2
-    assert json.loads(out)["report"]["succeeded"] is False
+    report = json.loads(out)["report"]
+    assert report["succeeded"] is False
+    assert report["oracle_calls"] == 1
 
 
 def test_dynamics_linear_profile(capsys):
@@ -296,6 +299,30 @@ def test_non_finite_numbers_are_one_line_errors(capsys, argv, named):
     assert out == ""
 
 
+def _subcommand_parser(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("solve", ["--algorithm", "alg2", "--truth-table", fx("one_solution.json")]),
+    ("count", ["--algorithm", "alg2", "--truth-table", fx("one_solution.json")]),
+    ("ngate-verify", ["--eps", "1e-3"]),
+])
+def test_reports_echo_every_config_flag_of_their_parser(capsys, command, argv):
+    # every flag the subcommand parses shapes the run, except where the
+    # oracle comes from and where and how the report is written
+    not_config = {"help", "input", "truth_table", "out", "timing"}
+    flags = {a.dest for a in _subcommand_parser(command)._actions} - not_config
+    code, out, _ = run_cli(capsys, command, *argv)
+    assert code == 0
+    config = json.loads(out)["config"]
+    extra = {"gate_realization"} if command == "solve" else set()
+    assert set(config) == flags | extra
+    args = build_parser().parse_args([command, *argv])
+    assert {k: config[k] for k in flags} == {k: getattr(args, k) for k in flags}
+
+
 def test_reports_echo_budgets_and_gate_realization(capsys):
     for command, algorithm, gate in [("solve", "alg1", None), ("solve", "alg2", "table"),
                                      ("count", "alg1", None), ("count", "alg2", None)]:
@@ -345,3 +372,19 @@ def test_alg1_commands_pass_every_flag_to_the_run(capsys, command):
         assert out.splitlines() == ["k\tbloch_separation"] + rows
     else:
         assert json.loads(out)["report"] == json.loads(json.dumps(want))
+
+
+def test_alg1_count_failure_reports_keep_the_work_done(capsys):
+    # four rounds run before the fifth runs out of trials, and the first
+    # round runs out of applications when it is given five
+    for extra, note in ([["--max-applications", "40"], "trial budget exhausted in round 5"],
+                        [["--max-trials", "16", "--max-applications", "5"],
+                         "application budget exhausted in round 1"]):
+        code, out, _ = run_cli(capsys, "count", "--algorithm", "alg1", *ALG1_FLAGS, *extra)
+        assert code == 2
+        report = json.loads(out)["report"]
+        assert report["notes"] == [note] and not report["succeeded"]
+        traj = report["separation_trajectory"]
+        assert report["applications_used"] == len(traj) > 0
+        assert traj[-1][0] == len(traj)
+        assert report["oracle_calls"] == report["trials_used"] > 0
