@@ -218,9 +218,8 @@ def _jittered_stretch(m: StretchMap, noise: NoiseModel) -> StretchMap:
 def _prepare_flag_state(n: int, oracle: OracleSpec, rng, max_trials: int):
     """Steps 1-3: superpose, query once, undo, and post-select on zeros.
 
-    Returns (pair, trials_used, zero_pattern_probability) or
-    (None, trials_used, None) when the trial budget runs out.  Every trial
-    re-calls the oracle.
+    Returns (pair, trials_used), with pair None when the trial budget runs
+    out.  Every trial re-calls the oracle.
     """
     trials = 0
     while trials < max_trials:
@@ -231,15 +230,15 @@ def _prepare_flag_state(n: int, oracle: OracleSpec, rng, max_trials: int):
         record, state = measure_qubits(state, range(n), rng)
         if record.outcome_bits == 0:
             _, c0, c1 = conditional_qubit_state(state, n, 0)
-            return (c0, c1), trials, record.outcome_probability
-    return None, trials, None
+            return (c0, c1), trials
+    return None, trials
 
 
 @_driver("flag-amplification", 1)
 def run_algorithm1(cfg: Alg1Config, noise: NoiseModel, report: RunReport):
     """Decide s = 0 versus s > 0 with the stretch-map amplification."""
     m = cfg.stretch
-    pair, report.trials_used, _ = _prepare_flag_state(
+    pair, report.trials_used = _prepare_flag_state(
         cfg.n, cfg.oracle, noise.rng, cfg.trial_budget())
     if pair is None:
         report.notes.append("trial budget exhausted before the zero pattern was seen")
@@ -310,7 +309,7 @@ def run_algorithm1_count(cfg: Alg1Config, noise: NoiseModel, report: RunReport):
     while lo < hi:
         rounds += 1
         mid = (lo + hi) // 2
-        pair, trials, _ = _prepare_flag_state(cfg.n, cfg.oracle, noise.rng, cfg.trial_budget())
+        pair, trials = _prepare_flag_state(cfg.n, cfg.oracle, noise.rng, cfg.trial_budget())
         report.trials_used += trials
         if pair is None:
             report.notes.append(f"trial budget exhausted in round {rounds}")
@@ -456,9 +455,8 @@ def run_algorithm2_count(cfg: Alg2Config, noise: NoiseModel, report: RunReport):
     their labels, and drops that qubit, which the merge leaves in |+>:
     2**(n-k) amplitudes and labels remain, and the last branch holds the
     count.  A pair whose amplitudes differ stops the run with a note
-    instead of being merged.  The run's one trial and its n merges are
-    recorded only once the count is read out, so an early exit reports
-    0 and 0.  The noise model draws nothing: the cascade has no angles.
+    instead of being merged.  The noise model draws nothing: the cascade
+    has no angles.
     """
     width = cfg.counter_width if cfg.counter_width is not None else cfg.n + 1
     if width < 1:
@@ -467,6 +465,7 @@ def run_algorithm2_count(cfg: Alg2Config, noise: NoiseModel, report: RunReport):
     amps = apply_hadamard_layer(new_basis_state(cfg.n, 0), range(cfg.n)).amplitudes
     labels = truth_vector(cfg.oracle).astype(np.int64)
     cfg.oracle.call_counter += 1  # the coherent counting query
+    report.trials_used = 1
     for k in range(cfg.n):
         amps, residue = _drop_plus_qubit(amps, 0)
         if amps is None:
@@ -477,8 +476,7 @@ def run_algorithm2_count(cfg: Alg2Config, noise: NoiseModel, report: RunReport):
         except CounterOverflowError as exc:
             report.notes.append(f"counter overflow: {exc}")
             return
+        report.applications_used += 1
 
     report.count = int(labels[0])  # read out with probability 1 - (dropped residues)
-    report.trials_used = 1
-    report.applications_used = cfg.n
     report.succeeded = True

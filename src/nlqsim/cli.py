@@ -4,9 +4,9 @@ Outputs are deterministic for a fixed seed: reports are JSON documents
 with sorted keys and no timestamps (pass --timing to record wall time),
 tables are tab-separated with a one-line header.
 
-Exit codes: 0 ran and decided, 1 usage or input error (a ValueError from
-the library, such as a size cap, is reported the same way), 2 computation
-budget or synthesis failure.
+Exit codes: 0 ran and decided, 1 usage or input error as one `error:`
+line (argparse's errors and a ValueError from the library, such as a size
+cap, are reported the same way), 2 computation budget or synthesis failure.
 """
 
 from __future__ import annotations
@@ -41,6 +41,25 @@ class CliError(Exception):
     """Usage or input problem; maps to exit code 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors raise CliError (its subparsers share the
+    class), so main reports them as one line with exit code 1."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every run flag that takes a real: no nan or inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -63,7 +82,7 @@ def _report_document(command: str, config: dict, payload: dict,
         "wall_time": wall_time,
         "library_version": __version__,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _load_oracle(args) -> OracleSpec:
@@ -86,7 +105,7 @@ def _load_oracle(args) -> OracleSpec:
 def _stretch_from(args) -> StretchMap:
     try:
         return StretchMap(theta0=args.theta0, eta=args.eta, lam=args.lam)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # exp(--lambda) may overflow
         raise CliError(f"invalid stretch parameters: {exc}") from exc
 
 
@@ -97,11 +116,15 @@ def _parse_hbar(text: str) -> HbarFunction:
         raise CliError(f"invalid --hbar coefficients {text!r}: {exc}") from exc
 
 
-def _check_budgets(args):
+def _check_run_flags(args):
     if args.max_applications < 0:
         raise CliError(f"--max-applications must be >= 0, got {args.max_applications}")
     if args.max_trials is not None and args.max_trials < 1:
         raise CliError(f"--max-trials must be >= 1, got {args.max_trials}")
+    if args.noise_sigma < 0.0:
+        raise CliError(f"--noise-sigma must be >= 0, got {args.noise_sigma}")
+    if args.command == "solve" and args.algorithm == "alg1" and not 0.0 < args.threshold < 1.0:
+        raise CliError(f"--threshold must lie in (0, 1), got {args.threshold}")
 
 
 # Parsed flags that say where the oracle comes from or where and how the
@@ -201,11 +224,7 @@ def cmd_dynamics(args) -> int:
 
 def cmd_ngate_verify(args) -> int:
     h = _parse_hbar(args.hbar) if args.hbar is not None else None
-    try:
-        gate = build_N(h, args.eps)
-    except SynthesisError as exc:
-        sys.stderr.write(f"synthesis failed: {exc}\n")
-        return 2
+    gate = build_N(h, args.eps)  # raises SynthesisError below 1 - eps
     fidelities = list(gate.case_fidelities)
     payload = {
         "case_fidelities": fidelities,
@@ -214,7 +233,7 @@ def cmd_ngate_verify(args) -> int:
         "audit": gate.audit(),
     }
     _write_text(args.out, _report_document("ngate-verify", _config_echo(args), payload, None))
-    return 0 if min(fidelities) >= 1.0 - args.eps else 2
+    return 0
 
 
 def cmd_separation(args) -> int:
@@ -232,7 +251,7 @@ def cmd_separation(args) -> int:
     growth = _fit_growth(report)
     summary = json.dumps(
         {"fitted_growth": growth, "applications_to_threshold": report.applications_to_threshold},
-        sort_keys=True,
+        sort_keys=True, allow_nan=False,
     ) + "\n"
     if args.out is None:
         sys.stderr.write(summary)
@@ -264,7 +283,7 @@ def _add_oracle_flags(p):
 
 def _add_common_flags(p):
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--noise-sigma", type=float, default=0.0, dest="noise_sigma",
+    p.add_argument("--noise-sigma", type=_finite_float, default=0.0, dest="noise_sigma",
                    help="gaussian jitter on gate parameters, radians (default 0)")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--timing", action="store_true",
@@ -272,18 +291,18 @@ def _add_common_flags(p):
 
 
 def _add_stretch_flags(p):
-    p.add_argument("--lambda", type=float, default=math.log(2.0), dest="lam",
+    p.add_argument("--lambda", type=_finite_float, default=math.log(2.0), dest="lam",
                    help="stretch exponent per application (default ln 2)")
-    p.add_argument("--eta", type=float, default=math.pi / 4.0,
+    p.add_argument("--eta", type=_finite_float, default=math.pi / 4.0,
                    help="angular extent of the stretch region (default pi/4)")
-    p.add_argument("--theta0", type=float, default=math.pi / 2.0,
+    p.add_argument("--theta0", type=_finite_float, default=math.pi / 2.0,
                    help="center of the stretch region (default pi/2)")
     p.add_argument("--max-applications", type=int, default=96, dest="max_applications")
     p.add_argument("--max-trials", type=int, default=None, dest="max_trials")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlqsim",
         description="Oracle search and counting under nonlinear qubit dynamics",
     )
@@ -292,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide whether the oracle has any solution")
     _add_oracle_flags(p)
     p.add_argument("--algorithm", choices=("alg1", "alg2"), required=True)
-    p.add_argument("--eps", type=float, default=DEFAULT_GATE_EPS,
+    p.add_argument("--eps", type=_finite_float, default=DEFAULT_GATE_EPS,
                    help=f"merge-gate tolerance for alg2 (default {DEFAULT_GATE_EPS})")
-    p.add_argument("--threshold", type=float, default=0.5,
+    p.add_argument("--threshold", type=_finite_float, default=0.5,
                    help="decision threshold as a fraction of pi for alg1 (default 0.5)")
     _add_stretch_flags(p)
     _add_common_flags(p)
@@ -337,17 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if hasattr(args, "max_applications"):
-            _check_budgets(args)
+            _check_run_flags(args)
         return args.func(args)
     except (CliError, ValueError) as exc:  # usage, input or library size/limit errors
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except SynthesisError as exc:
-        sys.stderr.write(f"synthesis failure: {exc}\n")
+        sys.stderr.write(f"synthesis failed: {exc}\n")
         return 2
 
 

@@ -117,8 +117,8 @@ def state_angle(a, b) -> float:
 class _PairMap:
     """The single-pair form of a map whose apply_batch acts on (m, 2) rows."""
 
-    def apply(self, c1: complex, c2: complex, noise=None) -> tuple[complex, complex]:
-        row = self.apply_batch(np.array([[c1, c2]]), noise=noise)[0]
+    def apply(self, c1: complex, c2: complex) -> tuple[complex, complex]:
+        row = self.apply_batch(np.array([[c1, c2]]))[0]
         return complex(row[0]), complex(row[1])
 
 
@@ -154,12 +154,9 @@ class NonlinearMap(_PairMap):
     stages: tuple
     tolerance: float
     descriptor: str
-    pass_count: int = 1
 
     def apply_batch(self, pairs: np.ndarray, noise=None) -> np.ndarray:
         out = np.array(pairs, dtype=np.complex128, copy=True)
-        if out.ndim == 1:
-            out = out[None, :]
         for kind, payload in self.stages:
             if kind == "rotate":
                 ang = payload if noise is None else noise.perturb(payload)
@@ -252,7 +249,6 @@ def build_n_minus(h: HbarFunction | None, eps: float,
         ),
         tolerance=eps,
         descriptor=f"n-minus(eps={eps:.3g}, passes=1)",
-        pass_count=1,
     )
     for basis in ((1.0, 0.0), (0.0, 1.0)):
         img = gate.apply(*basis)
@@ -393,10 +389,10 @@ class CompositeNGate:
                 rows[:, 0::2] *= np.exp(1j * ang)
         return from_block_rows(state, (index_q, flag_q), rows)
 
-    def apply_to_pair(self, vec4, noise=None) -> np.ndarray:
+    def apply_to_pair(self, vec4) -> np.ndarray:
         """The sweep on a lone (index, flag) pair: the m = 1 case."""
         state = StateVector(2, np.asarray(vec4, dtype=np.complex128))
-        return self.apply_to_register(state, 0, 1, noise=noise).amplitudes
+        return self.apply_to_register(state, 0, 1).amplitudes
 
     def audit(self) -> dict:
         stages = []
@@ -422,6 +418,11 @@ class CompositeNGate:
             "tolerance": self.tolerance,
             "notes": list(self.notes),
         }
+
+
+def _check_gate_eps(eps: float) -> None:
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
 
 
 def _assemble_merge_gate(n_minus, make_n_plus, eps: float, label: str, digits: int,
@@ -480,8 +481,7 @@ def build_N(h: HbarFunction | None, eps: float) -> CompositeNGate:
     operating latitude depends on the measured leftover state); a
     caller-supplied h applies to the contraction stage only.
     """
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    _check_gate_eps(eps)
     budget = math.sqrt(eps)
     try:
         n_minus = build_n_minus(h, budget)
@@ -614,6 +614,8 @@ def ideal_merge_gate(eps: float = 1e-9) -> CompositeNGate:
     under its own output dirt; this is the default gate for algorithm
     runs, while build_N remains the constructive realization.
     """
+    _check_gate_eps(eps)
+
     def make_n_plus(x: complex, y: complex) -> ExpandTableMap:
         return ExpandTableMap(zeta=float(np.angle(x) - np.angle(y)) if abs(y) > 0 else 0.0)
 

@@ -72,12 +72,6 @@ class StateVector:
     def dim(self) -> int:
         return 1 << self.num_qubits
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:

@@ -55,7 +55,7 @@ class HbarFunction:
         if not all(math.isfinite(c) for c in coefs):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coefs)
-        # Horner heads and tails, highest power first, for value_and_derivative
+        # Horner heads and tails, highest power first (evaluator and RK4)
         dcoefs = tuple(k * coefs[k] for k in range(len(coefs) - 1, 0, -1)) or (0.0,)
         object.__setattr__(self, "_horner", (coefs[-1], coefs[-2::-1], dcoefs[0], dcoefs[1:]))
 
@@ -213,13 +213,11 @@ def evolve_integrated(c1: complex, c2: complex, h: HbarFunction, t: float, dt: f
     #   dh/dpsi1* = hbar * psi1 + n hbar' * (-(a / n) * psi1), times -1j,
     # on (re, im) parts.  Squares go through libm pow, as x**2 does (x*x
     # does not always match it in the last bit); math.pow is the cheaper
-    # call.  A plain profile is evaluated by Horner here, exactly as
-    # HbarFunction.value_and_derivative does on a float; a profile that
-    # overrides it (PhaseAlignedHbar) is called.
+    # call.  Every profile is evaluated by Horner on its coefficients, as
+    # HbarFunction.value_and_derivative does on a float; a PhaseAlignedHbar's
+    # factored form is left to the closed form, which this checks.
     pw = math.pow
-    horner = type(h).value_and_derivative is HbarFunction.value_and_derivative
     hb0, tail, hp0, dtail = h._horner
-    vd = h.value_and_derivative
     c1, c2 = complex(c1), complex(c2)
     p, q, r, s = c1.real, c1.imag, c2.real, c2.imag
     nsteps = int(t / dt)
@@ -231,15 +229,12 @@ def evolve_integrated(c1: complex, c2: complex, h: HbarFunction, t: float, dt: f
                 w2 = pw(r, 2.0) + pw(s, 2.0)
                 n = (pw(p, 2.0) + pw(q, 2.0)) + w2
                 a = w2 / n
-                if horner:
-                    hb = hb0
-                    for c in tail:
-                        hb = hb * a + c
-                    hp = hp0
-                    for c in dtail:
-                        hp = hp * a + c
-                else:
-                    hb, hp = vd(a)
+                hb = hb0
+                for c in tail:
+                    hb = hb * a + c
+                hp = hp0
+                for c in dtail:
+                    hp = hp * a + c
                 g = n * hp
                 f1 = -(a / n)
                 f2 = (1.0 - a) / n
@@ -255,15 +250,12 @@ def evolve_integrated(c1: complex, c2: complex, h: HbarFunction, t: float, dt: f
                 w2 = pw(yr, 2.0) + pw(ys, 2.0)
                 n = (pw(yp, 2.0) + pw(yq, 2.0)) + w2
                 a = w2 / n
-                if horner:
-                    hb = hb0
-                    for c in tail:
-                        hb = hb * a + c
-                    hp = hp0
-                    for c in dtail:
-                        hp = hp * a + c
-                else:
-                    hb, hp = vd(a)
+                hb = hb0
+                for c in tail:
+                    hb = hb * a + c
+                hp = hp0
+                for c in dtail:
+                    hp = hp * a + c
                 g = n * hp
                 f1 = -(a / n)
                 f2 = (1.0 - a) / n
@@ -279,15 +271,12 @@ def evolve_integrated(c1: complex, c2: complex, h: HbarFunction, t: float, dt: f
                 w2 = pw(yr, 2.0) + pw(ys, 2.0)
                 n = (pw(yp, 2.0) + pw(yq, 2.0)) + w2
                 a = w2 / n
-                if horner:
-                    hb = hb0
-                    for c in tail:
-                        hb = hb * a + c
-                    hp = hp0
-                    for c in dtail:
-                        hp = hp * a + c
-                else:
-                    hb, hp = vd(a)
+                hb = hb0
+                for c in tail:
+                    hb = hb * a + c
+                hp = hp0
+                for c in dtail:
+                    hp = hp * a + c
                 g = n * hp
                 f1 = -(a / n)
                 f2 = (1.0 - a) / n
@@ -303,15 +292,12 @@ def evolve_integrated(c1: complex, c2: complex, h: HbarFunction, t: float, dt: f
                 w2 = pw(yr, 2.0) + pw(ys, 2.0)
                 n = (pw(yp, 2.0) + pw(yq, 2.0)) + w2
                 a = w2 / n
-                if horner:
-                    hb = hb0
-                    for c in tail:
-                        hb = hb * a + c
-                    hp = hp0
-                    for c in dtail:
-                        hp = hp * a + c
-                else:
-                    hb, hp = vd(a)
+                hb = hb0
+                for c in tail:
+                    hb = hb * a + c
+                hp = hp0
+                for c in dtail:
+                    hp = hp * a + c
                 g = n * hp
                 f1 = -(a / n)
                 f2 = (1.0 - a) / n

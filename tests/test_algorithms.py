@@ -391,6 +391,7 @@ def dense_algorithm2_count(cfg):
     i_part, c_part = idx >> width, idx & ((1 << width) - 1)
     src = (i_part << width) | ((c_part - fvec[i_part]) % (1 << width))
     oracle.call_counter += 1
+    report.trials_used = 1
     state = StateVector(state.num_qubits, state.amplitudes[src])
     counter_qubits = list(range(cfg.n, cfg.n + width))
     try:
@@ -398,6 +399,7 @@ def dense_algorithm2_count(cfg):
             state = apply_conditional_subspace_map(
                 state, [k] + counter_qubits, lambda rows: _dense_merge_counters(rows, width)
             )
+            report.applications_used += 1
     except CounterOverflowError as exc:
         report.oracle_calls = oracle.call_counter - calls_before
         report.notes.append(f"counter overflow: {exc}")
@@ -410,8 +412,6 @@ def dense_algorithm2_count(cfg):
             f"counter readout probability {record.outcome_probability:.12f} below 1"
         )
     report.oracle_calls = oracle.call_counter - calls_before
-    report.trials_used = 1
-    report.applications_used = cfg.n
     report.succeeded = True
     return report
 
@@ -541,6 +541,8 @@ def test_labelled_counting_matches_dense_counter_register():
     got = run_algorithm2_count(cfg)
     assert got.to_dict() == dense_algorithm2_count(replace(cfg, oracle=spec_for(2, (0, 1)))).to_dict()
     assert got.notes == ["counter overflow: count 2 does not fit in 1 counter qubits"]
+    # the query ran and the first merge completed before the second overflowed
+    assert (got.trials_used, got.applications_used) == (1, 1)
 
 
 def test_labelled_counting_reaches_n14():
@@ -565,5 +567,6 @@ def test_labelled_counting_refuses_a_swept_qubit_off_plus(monkeypatch):
     monkeypatch.setattr(algorithms, "apply_hadamard_layer", tilted)
     report = run_algorithm2_count(Alg2Config(n=3, oracle=spec_for(3, (1,)), counting=True))
     assert not report.succeeded and report.count is None
-    assert report.oracle_calls == 1
+    assert report.oracle_calls == report.trials_used == 1
+    assert report.applications_used == 0  # stopped before the first merge
     assert len(report.notes) == 1 and report.notes[0].startswith("index qubit 0 left |+> by residue")

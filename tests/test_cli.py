@@ -8,7 +8,8 @@ from dataclasses import replace
 
 import pytest
 
-from nlqsim.algorithms import Alg1Config, run_algorithm1, run_algorithm1_count
+from nlqsim import cli
+from nlqsim.algorithms import Alg1Config, RunReport, run_algorithm1, run_algorithm1_count
 from nlqsim.cli import build_parser, main
 from nlqsim.gates import StretchMap
 from nlqsim.oracle import OracleSpec, load_truth_table
@@ -92,7 +93,9 @@ def test_count_budget_exhaustion_exits_2(capsys):
     assert code == 2
     report = json.loads(out)["report"]
     assert report["succeeded"] is False
-    assert report["oracle_calls"] == 1
+    assert report["oracle_calls"] == report["trials_used"] == 1
+    # solutions 2 and 6 overflow the first merge, so none completed
+    assert report["applications_used"] == 0
 
 
 def test_dynamics_linear_profile(capsys):
@@ -138,6 +141,15 @@ def test_ngate_verify_unattainable_eps_exits_2(capsys):
     code, _, err = run_cli(capsys, "ngate-verify", "--eps", "1e-16")
     assert code == 2
     assert "synthesis" in err
+
+
+def test_table_gate_synthesis_failure_exits_2_with_one_line(capsys):
+    code, out, err = run_cli(capsys, "solve", "--algorithm", "alg2", "--eps", "1e-16",
+                             "--truth-table", fx("one_solution_n5.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("synthesis failed: table merge gate fidelities")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_separation_empty_oracle_all_zero(capsys, tmp_path):
@@ -278,6 +290,9 @@ def test_dynamics_step_guard_covers_the_whole_trajectory(capsys):
     assert "step-count guard" in err
 
 
+TT_N5 = ["--truth-table", fx("one_solution_n5.json")]
+
+
 @pytest.mark.parametrize("argv, named", [
     (["dynamics", "--dt", "inf"], "--dt"),  # took no step, printed a residual
     (["dynamics", "--dt", "nan"], "--dt"),
@@ -289,6 +304,22 @@ def test_dynamics_step_guard_covers_the_whole_trajectory(capsys):
     (["dynamics", "--hbar", "1e10", "--t-max", "1", "--points", "2"], "overflowed"),
     (["ngate-verify", "--eps", "nan"], "eps"),
     (["ngate-verify", "--eps", "inf"], "eps"),  # exit 2, synthesis failed
+    # report flags: NaN or Infinity in the JSON, or a message naming no flag
+    (["solve", "--algorithm", "alg2", "--eps", "nan", *TT_N5], "--eps"),
+    (["solve", "--algorithm", "alg1", "--eps", "nan", *TT_N5], "--eps"),
+    (["solve", "--algorithm", "alg1", "--threshold", "nan", *TT_N5], "--threshold"),
+    (["solve", "--algorithm", "alg1", "--threshold", "inf", *TT_N5], "--threshold"),
+    (["solve", "--algorithm", "alg2", "--lambda", "nan", *TT_N5], "--lambda"),
+    (["count", "--algorithm", "alg1", "--eta=-inf", *TT_N5], "--eta"),
+    (["separation", "--theta0", "nan", *TT_N5], "--theta0"),
+    (["solve", "--algorithm", "alg1", "--noise-sigma", "nan", *TT_N5], "--noise-sigma"),
+    (["count", "--algorithm", "alg2", "--noise-sigma", "inf", *TT_N5], "--noise-sigma"),
+    (["separation", "--noise-sigma", "-1", *TT_N5], "--noise-sigma"),
+    (["solve", "--algorithm", "alg2", "--eps", "-1", *TT_N5], "eps"),  # was a synthesis failure
+    (["solve", "--algorithm", "alg2", "--eps", "0", *TT_N5], "eps"),
+    (["solve", "--algorithm", "alg1", "--threshold", "0", *TT_N5], "--threshold"),
+    (["solve", "--algorithm", "alg1", "--threshold", "1.5", *TT_N5], "--threshold"),
+    (["solve", "--algorithm", "alg1", "--lambda", "1000", *TT_N5], "stretch"),  # exp overflows
 ])
 def test_non_finite_numbers_are_one_line_errors(capsys, argv, named):
     with warnings.catch_warnings():
@@ -297,6 +328,45 @@ def test_non_finite_numbers_are_one_line_errors(capsys, argv, named):
     assert_one_line_error(code, err)
     assert named in err
     assert out == ""
+
+
+def test_reports_refuse_to_write_non_finite_numbers(capsys, monkeypatch):
+    # a NaN that got past the flag checks still ends in one error line, not
+    # in a report that is not JSON
+    def nan_run(cfg):
+        return RunReport(post_measurement_flag_amplitude=math.nan, succeeded=True)
+
+    monkeypatch.setattr(cli, "run_algorithm2", nan_run)
+    code, out, err = run_cli(capsys, "solve", "--algorithm", "alg2", *TT_N5)
+    assert_one_line_error(code, err)
+    assert "JSON" in err and out == ""
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["solve", *TT_N5], "the following arguments are required: --algorithm"),
+    (["solve", "--algorithm", "alg3", *TT_N5], "invalid choice: 'alg3'"),
+    (["dynamics", "--points", "abc"], "argument --points: invalid int value: 'abc'"),
+    (["solve", "--algorithm", "alg2", *TT_N5, "--no-such-flag"], "unrecognized arguments"),
+    ([], "the following arguments are required: command"),
+    (["dynamics", "--hbar", "abc"], "invalid --hbar"),
+    (["dynamics", "--initial=1,2,3"], "--initial needs four"),
+    (["dynamics", "--initial=a,b,c,d"], "invalid --initial"),
+    (["solve", "--algorithm", "alg1", "--eta", "4", *TT_N5], "invalid stretch parameters"),
+])
+def test_usage_errors_are_one_line_errors(capsys, argv, named):
+    # usage errors exit 1 with one line, as bad values do; 2 is kept for
+    # budget and synthesis failures
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, err)
+    assert named in err
+    assert out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--algorithm" in capsys.readouterr().out
 
 
 def _subcommand_parser(command):

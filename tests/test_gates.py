@@ -131,11 +131,6 @@ def test_build_n_minus_lands_both_images():
         assert bloch_distance(state_bloch(*img), ZERO) <= 1e-3
 
 
-def test_build_n_minus_pass_count_weakly_decreasing():
-    counts = [build_n_minus(None, eps).pass_count for eps in (1e-3, 1e-2, 1e-1)]
-    assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-
 def test_build_n_minus_fails_for_square_profile():
     with pytest.raises(SynthesisError):
         build_n_minus(HbarFunction((0.0, 0.0, 1.0)), 1e-3, t_max=100.0)

@@ -432,22 +432,18 @@ def test_measure_qubits_is_bitwise_the_two_gather_measurement(n, qs):
 def complex_rk4(c1, c2, h, t, dt):
     """The integrator written on Python complex numbers, Horner inline."""
     coefs = h.coefficients
-    is_aligned = isinstance(h, PhaseAlignedHbar)
 
     def rhs(y1, y2):
         n = (y1.real**2 + y1.imag**2) + (y2.real**2 + y2.imag**2)
         a = (y2.real**2 + y2.imag**2) / n
-        if is_aligned:
-            hb, hp = h.value(a), h.derivative(a)
-        else:
-            hb = coefs[-1]
-            for c in reversed(coefs[:-1]):
-                hb = hb * a + c
-            hp = 0.0
-            if len(coefs) > 1:
-                hp = (len(coefs) - 1) * coefs[-1]
-                for k in range(len(coefs) - 2, 0, -1):
-                    hp = hp * a + k * coefs[k]
+        hb = coefs[-1]
+        for c in reversed(coefs[:-1]):
+            hb = hb * a + c
+        hp = 0.0
+        if len(coefs) > 1:
+            hp = (len(coefs) - 1) * coefs[-1]
+            for k in range(len(coefs) - 2, 0, -1):
+                hp = hp * a + k * coefs[k]
         d1 = hb * y1 + n * hp * (-(a / n) * y1)
         d2 = hb * y2 + n * hp * ((1.0 - a) / n * y2)
         return -1j * d1, -1j * d2

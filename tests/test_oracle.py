@@ -51,6 +51,29 @@ def test_parse_unterminated_clause():
     assert "unterminated" in str(err.value)
 
 
+@pytest.mark.parametrize("text, line, words", [
+    ("p cnf 2 1\np cnf 2 1\n1 0\n", 2, "duplicate 'p cnf' header"),
+    ("p cnf 2\n1 0\n", 1, "malformed header"),
+    ("p dnf 2 1\n1 0\n", 1, "malformed header"),
+    ("p cnf two 1\n1 0\n", 1, "malformed header"),
+    ("p cnf 0 1\n", 1, "malformed header"),
+    ("p cnf 2 1\n1 x 0\n", 2, "bad literal 'x'"),
+    ("c a comment only\n\n", 2, "missing 'p cnf' header"),
+])
+def test_parse_refusals_name_the_line(text, line, words):
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs(text)
+    assert err.value.line == line
+    assert words in str(err.value)
+
+
+def test_parse_stops_at_the_percent_end_marker():
+    # SATLIB files end with '%' and a stray '0'; an open clause there is kept out
+    cnf = parse_dimacs("p cnf 2 2\n1 -2 0\n2 0\n%\n0\n")
+    assert cnf.clauses == ((1, -2), (2,))
+    assert parse_dimacs("p cnf 2 1\n1 0\n-2\n%\n").clauses == ((1,),)
+
+
 def test_parse_accepts_bytes():
     cnf = parse_dimacs(b"p cnf 2 1\n1 2 0\n")
     assert cnf.num_vars == 2

@@ -34,6 +34,16 @@ def haar_unitary(rng, dim):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def test_state_vector_refuses_bad_registers():
+    with pytest.raises(ValueError, match="state norm\\^2 deviates from 1 by 2.000e-10"):
+        StateVector(1, np.array([math.sqrt(1.0 + 2e-10), 0.0]))
+    StateVector(1, np.array([math.sqrt(1.0 + 5e-11), 0.0]))  # within 1e-10
+    with pytest.raises(ValueError, match="expected 4 amplitudes, got shape \\(3,\\)"):
+        StateVector(2, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="num_qubits must be >= 1, got 0"):
+        StateVector(0, np.array([1.0]))
+
+
 def test_new_basis_state_examples():
     assert np.allclose(new_basis_state(1, 0).amplitudes, [1, 0])
     sv = new_basis_state(3, 5)  # |101>
