@@ -53,6 +53,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .gates import (
+    DEFAULT_GATE_EPS,
     BlochAngle,
     CompositeNGate,
     StretchMap,
@@ -75,7 +76,6 @@ from .statevector import (
 )
 from .weinberg import lift_pairs
 
-DEFAULT_GATE_EPS = 1e-6
 RESOLVE_MARGIN = 1e-3  # polar distance from a pole considered resolved
 # A swept index qubit leaves the register only if its residue 1 - <+|rho|+>
 # is at or below this.  Rounding alone leaves at most about 1e-26 at
@@ -86,7 +86,7 @@ _PLUS_RESIDUE_MAX = 1e-22
 
 
 @functools.lru_cache(maxsize=8)
-def table_merge_gate(eps: float = 1e-9) -> CompositeNGate:
+def table_merge_gate(eps: float = DEFAULT_GATE_EPS) -> CompositeNGate:
     """Table-realized merge gate, built once per tolerance and shared by runs."""
     return ideal_merge_gate(eps)
 

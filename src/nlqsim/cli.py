@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -23,14 +24,13 @@ from . import __version__
 from .algorithms import (
     Alg1Config,
     Alg2Config,
-    DEFAULT_GATE_EPS,
     run_algorithm1,
     run_algorithm1_count,
     run_algorithm2,
     run_algorithm2_count,
     table_merge_gate,
 )
-from .gates import StretchMap, SynthesisError, build_N
+from .gates import DEFAULT_GATE_EPS, StretchMap, SynthesisError, build_N
 from .oracle import DimacsError, OracleSpec, load_truth_table, parse_dimacs
 from .weinberg import HbarFunction, trajectory
 
@@ -43,7 +43,12 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse whose usage errors raise CliError (its subparsers share the
-    class), so main reports them as one line with exit code 1."""
+    class), so main reports them as one line with exit code 1, and which
+    reads a negative number with an exponent (--lambda -1e-3) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
@@ -281,13 +286,14 @@ def _add_oracle_flags(p):
     p.add_argument("--truth-table", help="truth-table JSON file")
 
 
-def _add_common_flags(p):
+def _add_common_flags(p, timing: bool = True):
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--noise-sigma", type=_finite_float, default=0.0, dest="noise_sigma",
                    help="gaussian jitter on gate parameters, radians (default 0)")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--timing", action="store_true",
-                   help="record wall time in the report (breaks byte determinism)")
+    if timing:  # separation writes a table, not a report
+        p.add_argument("--timing", action="store_true",
+                       help="record wall time in the report (breaks byte determinism)")
 
 
 def _add_stretch_flags(p):
@@ -349,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separation", help="emit the hypothesis-separation table")
     _add_oracle_flags(p)
     _add_stretch_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, timing=False)
     p.set_defaults(func=cmd_separation)
 
     return parser

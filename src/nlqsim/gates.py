@@ -45,6 +45,7 @@ from .weinberg import (
 )
 
 SQ2 = math.sqrt(2.0)
+DEFAULT_GATE_EPS = 1e-6  # table-gate tolerance of library runs and the CLI alike
 
 # Self-inverse Bell-type basis change: entry stage of the merge gate.
 # Folds the mirrored pair onto |00> and the anti-mirrored pair onto |01>.
@@ -421,8 +422,9 @@ class CompositeNGate:
 
 
 def _check_gate_eps(eps: float) -> None:
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    # at eps >= 1 the 1 - eps fidelity bound passes a gate of any fidelity
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
 
 
 def _assemble_merge_gate(n_minus, make_n_plus, eps: float, label: str, digits: int,
@@ -547,11 +549,6 @@ class StretchMap:
                             keep_norm=False)
 
 
-def stretch_apply(angle: BlochAngle, m: StretchMap) -> BlochAngle:
-    """Polar-angle image under the stretch map; azimuth unchanged."""
-    return BlochAngle(float(m.polar_map(angle.theta)), angle.phi_az)
-
-
 @dataclass(frozen=True)
 class MergeTableMap(_PairMap):
     """Explicit pair-action table: every state is sent to |0>.
@@ -605,7 +602,7 @@ class ExpandTableMap(_PairMap):
                 {"stage": "table", "action": "double polar angle"}]
 
 
-def ideal_merge_gate(eps: float = 1e-9) -> CompositeNGate:
+def ideal_merge_gate(eps: float = DEFAULT_GATE_EPS) -> CompositeNGate:
     """Merge gate over explicit pair-action tables instead of sandwiches.
 
     Same stage chain and calibration procedure as build_N, with the two

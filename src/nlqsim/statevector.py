@@ -156,15 +156,8 @@ def from_block_rows(state: StateVector, targets, rows: np.ndarray) -> StateVecto
 
 
 def apply_1q_unitary(state: StateVector, q: int, u: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to qubit q on the strided (2**q, 2, rest) view."""
-    _check_qubit(state, q)
-    u = _check_unitary(u, 2)
-    psi = state.amplitudes.reshape(1 << q, 2, -1)
-    out = np.empty_like(psi)
-    for i in (0, 1):
-        np.multiply(psi[:, 0], u[i, 0], out=out[:, i])
-        out[:, i] += u[i, 1] * psi[:, 1]
-    return StateVector(state.num_qubits, out.reshape(state.dim))
+    """Apply a 2x2 unitary to qubit q."""
+    return from_block_rows(state, [q], block_rows(state, [q]) @ _check_unitary(u, 2).T)
 
 
 def _walsh_hadamard_matrices(k_max: int) -> tuple[np.ndarray, ...]:
@@ -210,11 +203,9 @@ def apply_2q_unitary(state: StateVector, q1: int, q2: int, u: np.ndarray) -> Sta
 
 
 def _sorted_qubits(state: StateVector, qs) -> tuple[int, ...]:
-    qs = tuple(sorted(set(int(q) for q in qs)))
+    qs = tuple(sorted(_distinct_qubits(state, qs)))
     if not qs:
         raise ValueError("empty qubit set")
-    for q in qs:
-        _check_qubit(state, q)
     return qs
 
 
@@ -222,17 +213,12 @@ def _marginals(rows: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(rows) ** 2, axis=0)
 
 
-def pattern_probabilities(state: StateVector, qs) -> np.ndarray:
-    """Marginal Born probabilities for all 2**m patterns of qubits qs."""
-    return _marginals(block_rows(state, _sorted_qubits(state, qs)))
-
-
 def probability_of_pattern(state: StateVector, qs, bits: int) -> float:
     """Exact marginal probability that measuring qs yields the given bits."""
     qs = _sorted_qubits(state, qs)
     if not 0 <= bits < (1 << len(qs)):
         raise ValueError(f"bit pattern {bits} out of range for {len(qs)} qubits")
-    return float(pattern_probabilities(state, qs)[bits])
+    return float(_marginals(block_rows(state, qs))[bits])
 
 
 def collapse_onto_pattern(state: StateVector, qs, bits: int) -> tuple[float, StateVector]:
@@ -264,15 +250,6 @@ def measure_qubits(
     prob, post = _collapse_rows(state, qs, rows, outcome)
     record = MeasurementRecord(qs, outcome, prob)
     return record, post
-
-
-def sample_measurements(
-    state: StateVector, qs, rng: np.random.Generator, n_samples: int
-) -> np.ndarray:
-    """Draw repeated measurement outcomes without collapsing (fresh copies)."""
-    qs = _sorted_qubits(state, qs)
-    probs = pattern_probabilities(state, qs)
-    return rng.choice(len(probs), p=probs / probs.sum(), size=n_samples)
 
 
 def conditional_qubit_state(

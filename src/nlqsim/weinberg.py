@@ -139,13 +139,6 @@ def phase_aligned_hbar(w: float, z: float) -> PhaseAlignedHbar:
     return h
 
 
-def hbar_value(h: HbarFunction, a: float) -> float:
-    """hbar(a) with the domain check; a is a squared amplitude fraction."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"a={a} outside [0, 1]")
-    return float(h.value(a))
-
-
 def omega12(h: HbarFunction, a):
     """The two phase frequencies (w1, w2) at latitude a."""
     hb, hp = h.value_and_derivative(a)

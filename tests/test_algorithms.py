@@ -224,6 +224,12 @@ def test_algorithm2_count_examples():
     assert full.count == 8
 
 
+def test_algorithm2_count_refuses_a_zero_width_counter():
+    with pytest.raises(ValueError, match="counter_width must be >= 1"):
+        run_algorithm2_count(
+            Alg2Config(n=2, oracle=spec_for(2, (0,)), counting=True, counter_width=0))
+
+
 def test_algorithm2_count_overflow_is_reported():
     report = run_algorithm2_count(
         Alg2Config(n=2, oracle=spec_for(2, (0, 1)), counting=True, counter_width=1, seed=0)

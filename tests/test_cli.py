@@ -320,6 +320,9 @@ TT_N5 = ["--truth-table", fx("one_solution_n5.json")]
     (["solve", "--algorithm", "alg1", "--threshold", "0", *TT_N5], "--threshold"),
     (["solve", "--algorithm", "alg1", "--threshold", "1.5", *TT_N5], "--threshold"),
     (["solve", "--algorithm", "alg1", "--lambda", "1000", *TT_N5], "stretch"),  # exp overflows
+    # at eps >= 1 the 1 - eps fidelity bound passes any gate
+    (["solve", "--algorithm", "alg2", "--eps", "1", *TT_N5], "eps must lie in (0, 1)"),
+    (["ngate-verify", "--eps", "1"], "eps must lie in (0, 1)"),
 ])
 def test_non_finite_numbers_are_one_line_errors(capsys, argv, named):
     with warnings.catch_warnings():
@@ -352,6 +355,11 @@ def test_reports_refuse_to_write_non_finite_numbers(capsys, monkeypatch):
     (["dynamics", "--initial=1,2,3"], "--initial needs four"),
     (["dynamics", "--initial=a,b,c,d"], "invalid --initial"),
     (["solve", "--algorithm", "alg1", "--eta", "4", *TT_N5], "invalid stretch parameters"),
+    # a negative value with an exponent reaches its flag's own check
+    (["solve", "--algorithm", "alg1", "--theta0", "-1e308", *TT_N5],
+     "invalid stretch parameters"),
+    (["dynamics", "--t-max", "-1e-3"], "--t-max must be nonnegative"),
+    (["separation", "--timing", *TT_N5], "unrecognized arguments: --timing"),
 ])
 def test_usage_errors_are_one_line_errors(capsys, argv, named):
     # usage errors exit 1 with one line, as bad values do; 2 is kept for
@@ -360,6 +368,26 @@ def test_usage_errors_are_one_line_errors(capsys, argv, named):
     assert_one_line_error(code, err)
     assert named in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--algorithm", "alg2", "--eps", "0.999", *TT_N5],
+    ["ngate-verify", "--eps", "0.999"],
+])
+def test_gate_eps_just_below_one_is_accepted(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["config"]["eps"] == 0.999
+
+
+@pytest.mark.parametrize("argv, dest, value", [
+    (["solve", "--algorithm", "alg1", "--lambda", "-1e-3"], "lam", -1e-3),
+    (["solve", "--algorithm", "alg1", "--theta0", "-1e308"], "theta0", -1e308),
+    (["dynamics", "--t-max", "-1E+2"], "t_max", -100.0),
+    (["separation", "--eta", "-.5e1"], "eta", -5.0),
+])
+def test_negative_exponent_values_are_read_as_values(argv, dest, value):
+    assert getattr(build_parser().parse_args(argv), dest) == value
 
 
 def test_help_still_exits_0(capsys):

@@ -26,12 +26,12 @@ from nlqsim.gates import (
     build_n_plus,
     H_GATE,
     X_GATE,
+    _pinning_unitary,
     ideal_merge_gate,
     n_minus_single_pass,
     rotation,
     state_angle,
     state_bloch,
-    stretch_apply,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -242,11 +242,10 @@ def test_every_map_preserves_single_qubit_norm():
 
 def test_stretch_map_center_fixed_and_exponential():
     m = StretchMap()
-    assert stretch_apply(BlochAngle(m.theta0, 0.0), m).theta == pytest.approx(m.theta0)
+    assert m.polar_map(m.theta0) == pytest.approx(m.theta0)
     delta = 0.01
-    out = stretch_apply(BlochAngle(m.theta0 + delta, 0.0), m)
-    assert out.theta == pytest.approx(m.theta0 + math.exp(m.lam) * delta, abs=1e-12)
-    assert stretch_apply(BlochAngle(0.3, 1.0), m).phi_az == 1.0
+    out = m.polar_map(m.theta0 + delta)
+    assert out == pytest.approx(m.theta0 + math.exp(m.lam) * delta, abs=1e-12)
 
 
 def test_stretch_map_derivative_in_region():
@@ -272,6 +271,19 @@ def test_stretch_map_validation():
         StretchMap(theta0=0.1, eta=0.5)
     with pytest.raises(ValueError):
         StretchMap(lam=3.0)  # stretched image would leave (0, pi)
+
+
+@pytest.mark.parametrize("a_state", [
+    [1.0, 0.0, 0.0, 0.0],  # already |00>: the identity
+    [0.6, 0.8j, 0.0, 0.0],  # residual already along |01>: a phase only
+])
+def test_pinning_unitary_edge_inputs(a_state):
+    a_state = np.array(a_state, dtype=complex)
+    u = _pinning_unitary(a_state)
+    assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+    assert np.allclose(u[:, 0], [1, 0, 0, 0], atol=1e-12)  # |00> is fixed
+    x = a_state[0]
+    assert np.allclose(u @ a_state, [x, math.sqrt(1 - abs(x) ** 2), 0, 0], atol=1e-12)
 
 
 def test_fold_unitary_matches_module_constant():

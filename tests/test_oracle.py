@@ -79,6 +79,22 @@ def test_parse_accepts_bytes():
     assert cnf.num_vars == 2
 
 
+@pytest.mark.parametrize("make, words", [
+    (lambda: CnfFormula(0, ()), "num_vars"),
+    (lambda: CnfFormula(2, ((1,), ())), "empty clause"),
+    (lambda: CnfFormula(2, ((1, 0),)), "literal 0"),
+    (lambda: CnfFormula(2, ((-3,),)), "literal -3"),
+    (lambda: TruthTableOracle(0, ()), "num_vars"),
+    (lambda: TruthTableOracle(2, (1, 1)), "strictly sorted"),
+    (lambda: TruthTableOracle(2, (2, 1)), "strictly sorted"),
+    (lambda: TruthTableOracle(2, (-1,)), "out of range"),
+    (lambda: TruthTableOracle(2, (4,)), "out of range"),
+])
+def test_oracle_constructors_refuse_bad_fields(make, words):
+    with pytest.raises(ValueError, match=words):
+        make()
+
+
 def test_truth_table_document_roundtrip():
     tt = load_truth_table('{"num_vars": 3, "solutions": [5, 1]}')
     assert tt.num_vars == 3

@@ -15,7 +15,6 @@ from nlqsim.statevector import (
     measure_qubits,
     new_basis_state,
     probability_of_pattern,
-    sample_measurements,
 )
 from nlqsim.gates import H_GATE, rotation
 from nlqsim.oracle import OracleSpec, TruthTableOracle, apply_oracle
@@ -172,7 +171,8 @@ def test_born_consistency_seeded_sampling():
     rng = make_rng(2024)
     sv = random_state(rng, 3)
     n_samples = 100_000
-    samples = sample_measurements(sv, [0, 2], rng, n_samples)
+    samples = np.array([measure_qubits(sv, [0, 2], rng)[0].outcome_bits
+                        for _ in range(n_samples)])
     for bits in range(4):
         p = probability_of_pattern(sv, [0, 2], bits)
         freq = np.count_nonzero(samples == bits) / n_samples
@@ -186,6 +186,10 @@ def test_conditional_state_product():
     assert weight == pytest.approx(1.0, abs=1e-12)
     assert c0 == pytest.approx(1 / SQ2)
     assert c1 == pytest.approx(1 / SQ2)
+
+
+def test_conditional_state_of_an_empty_branch_is_zero():
+    assert conditional_qubit_state(new_basis_state(2, 0), 1, 1) == (0.0, 0j, 0j)
 
 
 def test_conditional_state_bell_branches():
@@ -222,6 +226,21 @@ def test_collapse_onto_pattern_matches_probability():
     prob, post = collapse_onto_pattern(sv, [0, 1], 2)
     assert prob == pytest.approx(p_direct, abs=1e-12)
     assert np.linalg.norm(post.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_collapse_onto_a_zero_probability_outcome_is_refused():
+    with pytest.raises(ValueError, match="zero-probability"):
+        collapse_onto_pattern(new_basis_state(2, 0), [0], 1)
+
+
+def test_repeated_qubits_are_refused_by_every_pattern_call():
+    sv = random_state(make_rng(5), 3)
+    with pytest.raises(ValueError, match="distinct"):
+        measure_qubits(sv, [0, 0], make_rng(0))
+    with pytest.raises(ValueError, match="distinct"):
+        probability_of_pattern(sv, [2, 1, 2], 0)
+    with pytest.raises(ValueError, match="distinct"):
+        collapse_onto_pattern(sv, [1, 1], 0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,7 +13,6 @@ from nlqsim.weinberg import (
     evolve_integrated,
     find_phase_time,
     hamiltonian_value,
-    hbar_value,
     homogeneity_check,
     omega12,
     phase_aligned_hbar,
@@ -31,14 +30,6 @@ def random_pair(rng):
     c = rng.normal(size=2) + 1j * rng.normal(size=2)
     c /= np.linalg.norm(c)
     return complex(c[0]), complex(c[1])
-
-
-def test_hbar_value_examples():
-    assert hbar_value(HbarFunction((0.0, 2.5)), 0.0) == 0.0
-    assert hbar_value(SQUARE, 0.5) == pytest.approx(0.25)
-    assert hbar_value(HbarFunction((1.0, 2.0)), 1.0) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        hbar_value(SQUARE, 1.5)
 
 
 def test_omega12_linear_profile():
@@ -289,6 +280,9 @@ def test_phase_time_validates_inputs():
         find_phase_time(SQUARE, 1.0, eps=1e-3)
     with pytest.raises(ValueError):
         find_phase_time(SQUARE, math.pi / 8, eps=-1.0)
+    for t_max in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            find_phase_time(SQUARE, math.pi / 8, eps=1e-3, t_max=t_max)
 
 
 def test_aligned_profile_frequencies():
