@@ -22,10 +22,10 @@ Pair-merge route (`run_algorithm2`): for each input qubit in turn, the
 synthesized merge gate is applied to (that qubit, flag) across all basis
 patterns of the remaining qubits, doubling the number of flag-one
 components per iteration; after n iterations the flag is disentangled and
-carries the decision.  A swept qubit that the sweep leaves in |+> takes
-no further part, so the register drops it (after checking its residue)
-and sweep k touches 2**(n-k+1) amplitudes instead of 2**(n+1).  The
-counting variant replaces the flag by one integer counter label per
+carries the decision.  With an exact gate (`CompositeNGate.exact`), a
+swept qubit left in |+> takes no further part, so the register drops it
+(after checking its residue) and sweep k touches 2**(n-k+1) amplitudes
+instead of 2**(n+1).  The counting variant replaces the flag by one integer counter label per
 branch and the merge gate by an exact branch-table map that adds the two
 labels of every pair; each of its sweeps halves the branches.
 
@@ -62,7 +62,7 @@ from .gates import (
     rotation,
     state_bloch,
 )
-from .oracle import OracleSpec, apply_oracle, count_solutions_bruteforce, truth_vector
+from .oracle import OracleSpec, apply_oracle, count_solutions_bruteforce
 from .statevector import (
     StateVector,
     apply_hadamard_layer,
@@ -78,10 +78,9 @@ from .weinberg import lift_pairs
 
 RESOLVE_MARGIN = 1e-3  # polar distance from a pole considered resolved
 # A swept index qubit leaves the register only if its residue 1 - <+|rho|+>
-# is at or below this.  Rounding alone leaves at most about 1e-26 at
-# n = 14 with the table gate (its expansion stage doubles flag dust every
-# sweep), while gate noise of sigma = 1e-3 leaves 1e-16 and more on some
-# sweeps, and those qubits stay.
+# is at or below this.  Rounding alone leaves at most about 1e-32 up to
+# n = 19 with the table gate, while gate noise of sigma = 1e-3 leaves
+# 1e-16 and more on some sweeps, and those qubits stay.
 _PLUS_RESIDUE_MAX = 1e-22
 
 
@@ -392,19 +391,18 @@ def run_algorithm2(cfg: Alg2Config, noise: NoiseModel, report: RunReport):
     state = apply_hadamard_layer(new_basis_state(cfg.n + 1, 0), range(cfg.n))
     state = apply_oracle(state, range(cfg.n), cfg.n, cfg.oracle)
     report.trials_used = 1
-    # Only exact table flag maps (tolerance 0) may shrink the register: a
-    # sandwich gate's evolution shears a 1e-16 change of its input into an
-    # O(1) change of P(flag = 1) a few sweeps later, so it runs dense.
-    # Swept qubits that stay sit in front of the unswept ones, so the next
-    # index qubit is at position `kept`; the flag stays last.
-    shrink = all(m.tolerance == 0.0 for kind, m in gate.stages if kind == "flag_map")
+    # Only an exact gate may shrink the register: a sandwich gate's
+    # evolution shears a 1e-16 change of its input into an O(1) change of
+    # P(flag = 1) a few sweeps later, so it runs dense.  Swept qubits that
+    # stay sit in front of the unswept ones, so the next index qubit is at
+    # position `kept`; the flag stays last.
     report.flag_one_census = census = []
     kept, dropped, dropped_residue = 0, 0, 0.0
     for _ in range(cfg.n):
         state = gate.apply_to_register(state, kept, state.num_qubits - 1, noise=noise)
         report.applications_used += 1
         amps = None
-        if shrink:
+        if gate.exact:
             amps, residue = _drop_plus_qubit(state.amplitudes, kept)
         if amps is None:
             kept += 1
@@ -450,7 +448,7 @@ def run_algorithm2_count(cfg: Alg2Config, noise: NoiseModel, report: RunReport):
     """Exact solution count via the merge cascade on labelled branches.
 
     Branch i carries an amplitude and its counter value as an integer
-    label, which the one coherent query |i, 0> -> |i, f(i)> sets to f(i).
+    label, which the one coherent query (`OracleSpec.query`) sets to f(i).
     Sweep k merges the branch pairs that differ in index bit k, adding
     their labels, and drops that qubit, which the merge leaves in |+>:
     2**(n-k) amplitudes and labels remain, and the last branch holds the
@@ -463,8 +461,7 @@ def run_algorithm2_count(cfg: Alg2Config, noise: NoiseModel, report: RunReport):
         raise ValueError("counter_width must be >= 1")
 
     amps = apply_hadamard_layer(new_basis_state(cfg.n, 0), range(cfg.n)).amplitudes
-    labels = truth_vector(cfg.oracle).astype(np.int64)
-    cfg.oracle.call_counter += 1  # the coherent counting query
+    labels = cfg.oracle.query().astype(np.int64)
     report.trials_used = 1
     for k in range(cfg.n):
         amps, residue = _drop_plus_qubit(amps, 0)

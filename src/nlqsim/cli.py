@@ -4,6 +4,9 @@ Outputs are deterministic for a fixed seed: reports are JSON documents
 with sorted keys and no timestamps (pass --timing to record wall time),
 tables are tab-separated with a one-line header.
 
+`solve` and `count` share one run frame, `cmd_run`, and every run default
+is the library's own field default (`StretchMap.lam`, `Alg1Config.seed`, ...).
+
 Exit codes: 0 ran and decided, 1 usage or input error as one `error:`
 line (argparse's errors and a ValueError from the library, such as a size
 cap, are reported the same way), 2 computation budget or synthesis failure.
@@ -55,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of every run flag that takes a real: no nan or inf."""
+    """argparse type of every flag that takes one real number: no nan or inf."""
     try:
         value = float(text)
     except ValueError:
@@ -154,44 +157,34 @@ def _alg1_config(args, oracle: OracleSpec, **extra) -> Alg1Config:
     )
 
 
-def cmd_solve(args) -> int:
-    oracle = _load_oracle(args)
-    started = time.monotonic()
-    if args.algorithm == "alg1":
-        report = run_algorithm1(_alg1_config(args, oracle, decision_threshold=args.threshold))
-    else:
-        cfg = Alg2Config(
-            n=oracle.num_vars,
-            oracle=oracle,
-            gate=table_merge_gate(args.eps),
-            noise_sigma=args.noise_sigma,
-            seed=args.seed,
-        )
-        report = run_algorithm2(cfg)
-    wall = time.monotonic() - started if args.timing else None
-    echo = _config_echo(args)
-    echo["gate_realization"] = "table" if args.algorithm == "alg2" else None
-    _write_text(args.out, _report_document("solve", echo, report.to_dict(), wall))
-    return 0 if report.succeeded else 2
+def _alg2_config(args, oracle: OracleSpec, **extra) -> Alg2Config:
+    return Alg2Config(n=oracle.num_vars, oracle=oracle, noise_sigma=args.noise_sigma,
+                      seed=args.seed, **extra)
 
 
-def cmd_count(args) -> int:
+# (command, --algorithm) -> (driver, its config from the flags, keys only
+# that command's report echoes).  The driver is named, not held, so that
+# a wrapped or patched cli.run_* is the one that runs.
+_RUNS = {
+    ("solve", "alg1"): ("run_algorithm1", lambda args, oracle: _alg1_config(
+        args, oracle, decision_threshold=args.threshold), {"gate_realization": None}),
+    ("solve", "alg2"): ("run_algorithm2", lambda args, oracle: _alg2_config(
+        args, oracle, gate=table_merge_gate(args.eps)), {"gate_realization": "table"}),
+    ("count", "alg1"): ("run_algorithm1_count", _alg1_config, {}),
+    ("count", "alg2"): ("run_algorithm2_count", lambda args, oracle: _alg2_config(
+        args, oracle, counting=True, counter_width=args.counter_width), {}),
+}
+
+
+def cmd_run(args) -> int:
+    """solve and count: one algorithm run on the oracle, written as a report."""
     oracle = _load_oracle(args)
+    driver, config, extra_echo = _RUNS[args.command, args.algorithm]
     started = time.monotonic()
-    if args.algorithm == "alg1":
-        report = run_algorithm1_count(_alg1_config(args, oracle))
-    else:
-        cfg = Alg2Config(
-            n=oracle.num_vars,
-            oracle=oracle,
-            counting=True,
-            counter_width=args.counter_width,
-            noise_sigma=args.noise_sigma,
-            seed=args.seed,
-        )
-        report = run_algorithm2_count(cfg)
+    report = globals()[driver](config(args, oracle))
     wall = time.monotonic() - started if args.timing else None
-    _write_text(args.out, _report_document("count", _config_echo(args), report.to_dict(), wall))
+    echo = {**_config_echo(args), **extra_echo}
+    _write_text(args.out, _report_document(args.command, echo, report.to_dict(), wall))
     return 0 if report.succeeded else 2
 
 
@@ -209,11 +202,10 @@ def cmd_dynamics(args) -> int:
     if not 0.0 < sum(x * x for x in vals) < math.inf:
         raise CliError(f"--initial must be four finite reals with a positive, finite "
                        f"squared norm, got {args.initial}")
-    if not (args.t_max >= 0.0 and math.isfinite(args.t_max)):
-        raise CliError(f"invalid time grid: --t-max must be nonnegative and finite, "
-                       f"got {args.t_max}")
-    if not (args.dt > 0.0 and math.isfinite(args.dt)):
-        raise CliError(f"invalid time grid: --dt must be positive and finite, got {args.dt}")
+    if args.t_max < 0.0:
+        raise CliError(f"invalid time grid: --t-max must be nonnegative, got {args.t_max}")
+    if args.dt <= 0.0:
+        raise CliError(f"invalid time grid: --dt must be positive, got {args.dt}")
     if args.points < 1:
         raise CliError(f"invalid time grid: --points must be >= 1, got {args.points}")
     c1 = complex(vals[0], vals[1])
@@ -287,8 +279,9 @@ def _add_oracle_flags(p):
 
 
 def _add_common_flags(p, timing: bool = True):
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--noise-sigma", type=_finite_float, default=0.0, dest="noise_sigma",
+    p.add_argument("--seed", type=int, default=Alg1Config.seed, help="random seed (default 0)")
+    p.add_argument("--noise-sigma", type=_finite_float, default=Alg1Config.noise_sigma,
+                   dest="noise_sigma",
                    help="gaussian jitter on gate parameters, radians (default 0)")
     p.add_argument("--out", help="output path (default stdout)")
     if timing:  # separation writes a table, not a report
@@ -297,14 +290,15 @@ def _add_common_flags(p, timing: bool = True):
 
 
 def _add_stretch_flags(p):
-    p.add_argument("--lambda", type=_finite_float, default=math.log(2.0), dest="lam",
+    p.add_argument("--lambda", type=_finite_float, default=StretchMap.lam, dest="lam",
                    help="stretch exponent per application (default ln 2)")
-    p.add_argument("--eta", type=_finite_float, default=math.pi / 4.0,
+    p.add_argument("--eta", type=_finite_float, default=StretchMap.eta,
                    help="angular extent of the stretch region (default pi/4)")
-    p.add_argument("--theta0", type=_finite_float, default=math.pi / 2.0,
+    p.add_argument("--theta0", type=_finite_float, default=StretchMap.theta0,
                    help="center of the stretch region (default pi/2)")
-    p.add_argument("--max-applications", type=int, default=96, dest="max_applications")
-    p.add_argument("--max-trials", type=int, default=None, dest="max_trials")
+    p.add_argument("--max-applications", type=int, default=Alg1Config.max_applications,
+                   dest="max_applications")
+    p.add_argument("--max-trials", type=int, default=Alg1Config.max_trials, dest="max_trials")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,11 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=("alg1", "alg2"), required=True)
     p.add_argument("--eps", type=_finite_float, default=DEFAULT_GATE_EPS,
                    help=f"merge-gate tolerance for alg2 (default {DEFAULT_GATE_EPS})")
-    p.add_argument("--threshold", type=_finite_float, default=0.5,
+    p.add_argument("--threshold", type=_finite_float, default=Alg1Config.decision_threshold,
                    help="decision threshold as a fraction of pi for alg1 (default 0.5)")
     _add_stretch_flags(p)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("count", help="count the oracle's solutions exactly")
     _add_oracle_flags(p)
@@ -332,21 +326,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="counter register width (alg2, default n + 1)")
     _add_stretch_flags(p)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_count)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("dynamics", help="export a nonlinear evolution trajectory")
     p.add_argument("--hbar", default="0,0,1",
                    help="comma-separated polynomial coefficients of hbar(a)")
     p.add_argument("--initial", default="0.7071067811865476,0,0.7071067811865476,0",
                    help="initial pair as re1,im1,re2,im2")
-    p.add_argument("--t-max", type=float, default=10.0, dest="t_max")
+    p.add_argument("--t-max", type=_finite_float, default=10.0, dest="t_max")
     p.add_argument("--points", type=int, default=101)
-    p.add_argument("--dt", type=float, default=1e-3, help="integrator step")
+    p.add_argument("--dt", type=_finite_float, default=1e-3, help="integrator step")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("ngate-verify", help="build the merge gate and check its table")
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=_finite_float, default=1e-3)
     p.add_argument("--hbar", default=None,
                    help="contraction-stage profile (default: phase-aligned)")
     p.add_argument("--out", help="output path (default stdout)")

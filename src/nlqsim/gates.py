@@ -15,6 +15,7 @@ maps that contract or expand the angle between two designated states:
       |01> + |10>  ->  |01> + |11>
       |00> + |10>  ->  |00> + |10>
 
+`_sandwich` writes the three stages R(rho), evolve, R(-rho) of every pass.
 The evolution step of each sandwich relies on a phase-alignment time from
 `find_phase_time`; every pass here uses a `phase_aligned_hbar` profile for
 which that time is exact, so gate accuracy is set by the design offsets
@@ -38,9 +39,9 @@ from .weinberg import (
     PhaseAlignedHbar,
     PhaseAlignmentError,
     PhaseTargetSolution,
+    evolve_closed_form,
     find_phase_time,
     lift_pairs,
-    omega12,
     phase_aligned_hbar,
 )
 
@@ -129,17 +130,18 @@ def _unit_phase(z: np.ndarray, mag: np.ndarray) -> np.ndarray:
     return np.where(nonzero, z / np.where(nonzero, mag, 1.0), 1.0)
 
 
-def _polar_remap(pairs: np.ndarray, theta_fn, keep_norm: bool, out=None) -> np.ndarray:
+def _polar_remap(pairs: np.ndarray, theta_fn, keep_norm: bool, out=None) -> tuple:
     """Send each row's polar angle 2 atan2(|c2|, |c1|) through theta_fn,
     keeping both component phases, into out (a new array by default, or
-    pairs itself).  The image has unit norm, or the row's own with keep_norm."""
+    pairs itself); returns out and the image angles.  The image has unit
+    norm, or the row's own with keep_norm."""
     mag0, mag1 = np.abs(pairs[:, 0]), np.abs(pairs[:, 1])
     theta = theta_fn(2.0 * np.arctan2(mag1, mag0))
     scale = np.sqrt(mag0**2 + mag1**2) if keep_norm else 1.0
     out = np.empty_like(pairs) if out is None else out
     out[:, 0] = scale * np.cos(theta / 2.0) * _unit_phase(pairs[:, 0], mag0)
     out[:, 1] = scale * np.sin(theta / 2.0) * _unit_phase(pairs[:, 1], mag1)
-    return out
+    return out, theta
 
 
 @dataclass(frozen=True)
@@ -166,12 +168,7 @@ class NonlinearMap(_PairMap):
                 ang = payload if noise is None else noise.perturb(payload)
                 out[:, 1] *= np.exp(1j * ang)
             elif kind == "evolve":
-                hbar, t = payload
-                norms = np.sum(np.abs(out) ** 2, axis=1)
-                a = np.abs(out[:, 1]) ** 2 / norms
-                w1, w2 = omega12(hbar, a)
-                out[:, 0] *= np.exp(-1j * np.asarray(w1) * t)
-                out[:, 1] *= np.exp(-1j * np.asarray(w2) * t)
+                out[:, 0], out[:, 1] = evolve_closed_form(out[:, 0], out[:, 1], *payload)
             else:
                 raise ValueError(f"unknown stage kind {kind!r}")
         return out
@@ -186,6 +183,11 @@ class NonlinearMap(_PairMap):
             else:
                 items.append({"stage": kind, "angle": float(payload)})
         return items
+
+
+def _sandwich(rho: float, evolve: tuple) -> tuple:
+    """The stages R(rho), evolve, R(-rho) of one rotation-sandwich pass."""
+    return (("rotate", rho), evolve, ("rotate", -rho))
 
 
 def n_minus_single_pass(c1: complex, c2: complex, phi: float, h: HbarFunction,
@@ -203,7 +205,7 @@ def n_minus_single_pass(c1: complex, c2: complex, phi: float, h: HbarFunction,
             f"stale phase solution: residual {sol.residual:.3g} > tolerance {tolerance:.3g}"
         )
     pass_map = NonlinearMap(
-        stages=(("rotate", phi), ("evolve", (h, sol.t_star)), ("rotate", -phi)),
+        stages=_sandwich(phi, ("evolve", (h, sol.t_star))),
         tolerance=tolerance,
         descriptor=f"contraction-pass(phi={phi:.6g})",
     )
@@ -242,12 +244,8 @@ def build_n_minus(h: HbarFunction | None, eps: float,
     offset = min(eps / 2.0, 0.5)
     phi = (math.pi - offset) / 4.0
     gate = NonlinearMap(
-        stages=(
-            ("rotate", phi),
-            _pass_evolution(h, phi, offset / 10.0, t_max, "contraction"),
-            ("rotate", -phi),
-            ("rotate", math.pi / 2.0),
-        ),
+        stages=(*_sandwich(phi, _pass_evolution(h, phi, offset / 10.0, t_max, "contraction")),
+                ("rotate", math.pi / 2.0)),
         tolerance=eps,
         descriptor=f"n-minus(eps={eps:.3g}, passes=1)",
     )
@@ -284,8 +282,7 @@ def build_n_plus(h: HbarFunction | None, x: complex, y: complex, eps: float,
     phi = math.pi / 4.0 - chi / 2.0
     if phi > 1e-9:
         rho = math.pi / 2.0 - phi
-        stages += [("rotate", rho), _pass_evolution(h, phi, eps / 10.0, t_max, "expansion"),
-                   ("rotate", -rho)]
+        stages += _sandwich(rho, _pass_evolution(h, phi, eps / 10.0, t_max, "expansion"))
     gate = NonlinearMap(
         stages=tuple(stages),
         tolerance=eps,
@@ -371,6 +368,11 @@ class CompositeNGate:
             else:
                 raise ValueError(f"unknown stage kind {kind!r}")
         self._sweep_ops = tuple(ops)
+
+    @property
+    def exact(self) -> bool:
+        """True when every flag map is an explicit table, whose tolerance is 0."""
+        return all(m.tolerance == 0.0 for kind, m in self.stages if kind == "flag_map")
 
     def apply_to_register(self, state: StateVector, index_q: int, flag_q: int,
                           noise=None) -> StateVector:
@@ -546,7 +548,7 @@ class StretchMap:
 
     def apply_batch(self, pairs: np.ndarray, noise=None) -> np.ndarray:
         return _polar_remap(np.asarray(pairs, dtype=np.complex128), self.polar_map,
-                            keep_norm=False)
+                            keep_norm=False)[0]
 
 
 @dataclass(frozen=True)
@@ -584,7 +586,8 @@ class ExpandTableMap(_PairMap):
 
     After a phase alignment that makes the calibration pair real, the
     polar angle maps through min(2 theta, pi), carrying x|0> + y|1> to
-    |1> exactly while fixing |0>.  Component phases are preserved.
+    |1> exactly while fixing |0>: a row clamped at pi keeps no |0> part.
+    Component phases are preserved.
     """
 
     zeta: float = 0.0
@@ -594,8 +597,10 @@ class ExpandTableMap(_PairMap):
     def apply_batch(self, pairs: np.ndarray, noise=None) -> np.ndarray:
         aligned = np.array(pairs, dtype=np.complex128, copy=True)
         aligned[:, 1] *= np.exp(1j * self.zeta)
-        return _polar_remap(aligned, lambda theta: np.minimum(2.0 * theta, math.pi),
-                            keep_norm=True, out=aligned)
+        out, theta = _polar_remap(aligned, lambda theta: np.minimum(2.0 * theta, math.pi),
+                                  keep_norm=True, out=aligned)
+        out[theta == math.pi, 0] = 0.0  # not cos(pi / 2) = 6.1e-17: the clamp gives |1>
+        return out
 
     def schedule(self) -> list:
         return [{"stage": "phase", "angle": float(self.zeta)},

@@ -6,8 +6,9 @@ DIMACS variable 1 is the most significant input bit, so variable j reads
 bit (num_vars - j) of the integer input.
 
 `evaluate` is the classical test-side view and never touches the query
-counter; only the coherent `apply_oracle` increments it (once per
-invocation, regardless of how large the superposition is).
+counter.  `OracleSpec.query` is the one coherent query: it yields f on
+every input and increments the counter once, however large the
+superposition; `apply_oracle` and the counting driver both go through it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import StateVector, _check_qubit, check_array_size
+from .statevector import StateVector, _distinct_qubits, check_array_size
 
 
 class DimacsError(ValueError):
@@ -73,6 +74,12 @@ class OracleSpec:
     def num_vars(self) -> int:
         return self.variant.num_vars
 
+    def query(self) -> np.ndarray:
+        """f on every input as a boolean array: one coherent query, one tick."""
+        table = _truth_table(self.variant)
+        self.call_counter += 1
+        return table
+
 
 def parse_dimacs(text: str | bytes) -> CnfFormula:
     """Parse standard DIMACS CNF ('c' comments, 'p cnf' header, 0-terminated clauses)."""
@@ -127,14 +134,24 @@ def parse_dimacs(text: str | bytes) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_truth_table(text: str | bytes) -> TruthTableOracle:
-    """Parse the truth-table document: {"num_vars": n, "solutions": [...]}."""
+    """Parse the truth-table document {"num_vars": n, "solutions": [...]}: n a
+    JSON integer, the solutions a JSON array of integers (repeats allowed)."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     doc = json.loads(text)
     if not isinstance(doc, dict) or "num_vars" not in doc or "solutions" not in doc:
         raise ValueError("truth-table document needs 'num_vars' and 'solutions' fields")
-    return TruthTableOracle(int(doc["num_vars"]), tuple(sorted(set(int(s) for s in doc["solutions"]))))
+    num_vars, solutions = doc["num_vars"], doc["solutions"]
+    if not _is_json_int(num_vars):
+        raise ValueError(f"'num_vars' must be a JSON integer, got {type(num_vars).__name__}")
+    if not (isinstance(solutions, list) and all(map(_is_json_int, solutions))):
+        raise ValueError("'solutions' must be a JSON array of integers")
+    return TruthTableOracle(num_vars, tuple(sorted(set(solutions))))
 
 
 def _variant(oracle) -> CnfFormula | TruthTableOracle:
@@ -200,19 +217,12 @@ def count_solutions_bruteforce(oracle) -> int:
 
 
 def apply_oracle(state: StateVector, inputs, flag: int, oracle: OracleSpec) -> StateVector:
-    """Coherent query |i, b> -> |i, b xor f(i)>; one counter tick per call.
+    """Coherent query |i, b> -> |i, b xor f(i)> through oracle.query().
 
     The table of f swaps the flag halves of the (2**flag, 2, rest) view."""
     if not isinstance(oracle, OracleSpec):
         raise TypeError("apply_oracle needs an OracleSpec (it owns the call counter)")
-    inputs = [int(q) for q in inputs]
-    if len(set(inputs)) != len(inputs):
-        raise ValueError("input qubits must be pairwise distinct")
-    _check_qubit(state, flag)
-    for q in inputs:
-        _check_qubit(state, q)
-    if flag in inputs:
-        raise ValueError("flag qubit collides with an input qubit")
+    *inputs, flag = _distinct_qubits(state, [*inputs, flag])
     if len(inputs) != oracle.num_vars:
         raise ValueError(
             f"oracle has {oracle.num_vars} variables but {len(inputs)} input qubits given"
@@ -220,14 +230,13 @@ def apply_oracle(state: StateVector, inputs, flag: int, oracle: OracleSpec) -> S
     n = state.num_qubits
     # f over the non-flag qubits in register order; spectator qubits broadcast
     others = [q for q in range(n) if q != flag]
-    f = _truth_table(_variant(oracle)).reshape((2,) * len(inputs))
+    f = oracle.query().reshape((2,) * len(inputs))
     f = f.transpose(np.argsort(inputs)).reshape([2 if q in inputs else 1 for q in others])
     f = np.broadcast_to(f, (2,) * len(others)).reshape(1 << flag, -1)
     psi = state.amplitudes.reshape(1 << flag, 2, -1)
     out = psi.copy()
     np.copyto(out[:, 0], psi[:, 1], where=f)
     np.copyto(out[:, 1], psi[:, 0], where=f)
-    oracle.call_counter += 1
     return StateVector(n, out.reshape(state.dim))
 
 

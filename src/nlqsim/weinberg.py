@@ -11,9 +11,11 @@ psi_k(t) = c_k exp(-i w_k(a) t), with
     w1(a) = hbar(a) - a hbar'(a)
     w2(a) = hbar(a) + (1 - a) hbar'(a)
 
-and a evaluated from the initial state (a is a constant of motion).  A
-fixed-step RK4 integrator of the evolution equation itself serves as the
-independent cross-check for the closed form.
+and a evaluated from the initial state (a is a constant of motion).
+`evolve_closed_form` is its one implementation, on a pair or on arrays of
+pairs (the evolve stage of every gate calls it).  A fixed-step RK4
+integrator of the evolution equation itself serves as the independent
+cross-check for the closed form.
 
 Entangled registers evolve by the preferred-basis prescription: decompose
 over computational basis patterns of the spectator qubits and apply the
@@ -167,10 +169,11 @@ def homogeneity_check(h: HbarFunction, c1: complex, c2: complex, scale: float,
     return abs(hamiltonian(scale * c1, scale * c2) - scale**2 * hamiltonian(c1, c2))
 
 
-def evolve_closed_form(c1: complex, c2: complex, h: HbarFunction, t: float):
-    """Phase evolution psi_k -> psi_k exp(-i w_k(a) t), a frozen at the input."""
+def evolve_closed_form(c1, c2, h: HbarFunction, t: float):
+    """Phase evolution psi_k -> psi_k exp(-i w_k(a) t), a frozen at the input;
+    c1 and c2 are two amplitudes or two arrays of them (one pair per entry)."""
     n = abs(c1) ** 2 + abs(c2) ** 2
-    if n <= 0.0 or not math.isfinite(n):
+    if not np.all((n > 0.0) & (n < math.inf)):
         raise ValueError("zero-norm pair cannot be evolved")
     a = abs(c2) ** 2 / n
     w1, w2 = omega12(h, a)
@@ -309,7 +312,7 @@ def evolve_integrated(c1: complex, c2: complex, h: HbarFunction, t: float, dt: f
     return complex(p, q), complex(r, s)
 
 
-def trajectory(c1: complex, c2: complex, h: HbarFunction, times, dt: float = 1e-3):
+def trajectory(c1: complex, c2: complex, h: HbarFunction, times, dt: float):
     """Rows (t, Re c1, Im c1, Re c2, Im c2, residual vs integrator).
 
     The closed-form solution supplies the amplitudes; the residual column

@@ -44,6 +44,15 @@ def spec_for(n, solutions):
     return OracleSpec(TruthTableOracle(n, tuple(sorted(solutions))))
 
 
+def test_empty_oracle_flag_amplitude_is_exactly_zero():
+    # the expansion table's clamped image carries no cos(pi / 2) dust, so
+    # no sweep feeds the flag of an empty oracle (was 4.0e-13 at n = 14)
+    for n in range(1, 15):
+        report = run_algorithm2(Alg2Config(n=n, oracle=spec_for(n, [])))
+        assert report.decision == "no-solution"
+        assert report.post_measurement_flag_amplitude == 0.0, n
+
+
 def zero_pattern_probability(n, solutions):
     sv = new_basis_state(n + 1, 0)
     for q in range(n):

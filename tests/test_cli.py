@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from nlqsim import cli
+from nlqsim import algorithms, cli
 from nlqsim.algorithms import Alg1Config, RunReport, run_algorithm1, run_algorithm1_count
 from nlqsim.cli import build_parser, main
 from nlqsim.gates import StretchMap
@@ -360,6 +360,9 @@ def test_reports_refuse_to_write_non_finite_numbers(capsys, monkeypatch):
      "invalid stretch parameters"),
     (["dynamics", "--t-max", "-1e-3"], "--t-max must be nonnegative"),
     (["separation", "--timing", *TT_N5], "unrecognized arguments: --timing"),
+    (["solve", "--algorithm", "alg1", "--lambda", "abc", *TT_N5],
+     "argument --lambda: must be a finite number, got 'abc'"),
+    (["dynamics", "--dt", "0"], "--dt must be positive"),
 ])
 def test_usage_errors_are_one_line_errors(capsys, argv, named):
     # usage errors exit 1 with one line, as bad values do; 2 is kept for
@@ -388,6 +391,42 @@ def test_gate_eps_just_below_one_is_accepted(capsys, argv):
 ])
 def test_negative_exponent_values_are_read_as_values(argv, dest, value):
     assert getattr(build_parser().parse_args(argv), dest) == value
+
+
+def test_truth_tables_of_the_wrong_types_are_one_line_errors(capsys, tmp_path):
+    path = tmp_path / "tt.json"
+    for doc, field in (('{"num_vars": 3, "solutions": "57"}', "'solutions'"),
+                       ('{"num_vars": 3.9, "solutions": [1.7, 2]}', "'num_vars'")):
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, "solve", "--algorithm", "alg2", "--truth-table", str(path))
+        assert_one_line_error(code, err)
+        assert field in err and out == ""
+
+
+def test_run_flag_defaults_are_the_library_defaults():
+    for argv in (["solve", "--algorithm", "alg1"], ["count", "--algorithm", "alg1"], ["separation"]):
+        args = build_parser().parse_args(argv)
+        assert (args.lam, args.eta, args.theta0) == (StretchMap.lam, StretchMap.eta,
+                                                     StretchMap.theta0)
+        for flag in ("max_applications", "max_trials", "noise_sigma", "seed"):
+            assert getattr(args, flag) == getattr(Alg1Config, flag)
+    solve = build_parser().parse_args(["solve", "--algorithm", "alg1"])
+    assert solve.threshold == Alg1Config.decision_threshold
+
+
+def test_every_solve_and_count_algorithm_has_one_run():
+    for command in ("solve", "count"):
+        algorithm = next(a for a in _subcommand_parser(command)._actions if a.dest == "algorithm")
+        for choice in algorithm.choices:
+            driver, _, _ = cli._RUNS[command, choice]
+            assert vars(cli)[driver] is vars(algorithms)[driver]
+    assert len(cli._RUNS) == 4
+
+
+def test_fit_growth_without_a_usable_ratio_is_none():
+    for traj in ([(0, 0.0), (1, 0.5)], [(1, 0.5), (2, 1.0)]):
+        assert cli._fit_growth(RunReport(applications_to_threshold=1,
+                                         separation_trajectory=traj)) is None
 
 
 def test_help_still_exits_0(capsys):

@@ -6,6 +6,7 @@ import pytest
 from nlqsim.statevector import make_rng
 from nlqsim.weinberg import (
     HbarFunction,
+    PhaseTargetSolution,
     evolve_integrated,
     find_phase_time,
     phase_aligned_hbar,
@@ -16,6 +17,7 @@ from nlqsim.gates import (
     ExpandTableMap,
     FOLD_UNITARY,
     MergeTableMap,
+    NonlinearMap,
     PAIR_CASE_INPUTS,
     PAIR_CASE_TARGETS,
     StretchMap,
@@ -284,6 +286,50 @@ def test_pinning_unitary_edge_inputs(a_state):
     assert np.allclose(u[:, 0], [1, 0, 0, 0], atol=1e-12)  # |00> is fixed
     x = a_state[0]
     assert np.allclose(u @ a_state, [x, math.sqrt(1 - abs(x) ** 2), 0, 0], atol=1e-12)
+
+
+def test_unknown_stage_kinds_are_refused():
+    twisted = NonlinearMap(stages=(("twist", 0.1),), tolerance=0.0, descriptor="twisted")
+    with pytest.raises(ValueError, match="unknown stage kind 'twist'"):
+        twisted.apply(1.0, 0.0)
+    with pytest.raises(ValueError, match="unknown stage kind 'twist'"):
+        CompositeNGate((("twist", 0.1),), 0.0, 0.0)
+
+
+def test_single_pass_refuses_a_solution_for_another_angle():
+    sol = PhaseTargetSolution(t_star=1.0, residual=0.0, phi=math.pi / 8)
+    with pytest.raises(ValueError, match="different rotation angle"):
+        n_minus_single_pass(1.0, 0.0, math.pi / 12, HbarFunction((0.0, 0.0, 1.0)), sol)
+
+
+@pytest.mark.parametrize("build", [
+    lambda eps: build_n_minus(None, eps),
+    lambda eps: build_n_plus(None, 0.6, 0.8, eps),
+])
+@pytest.mark.parametrize("eps", [0.0, -1e-3])
+def test_sandwich_builders_refuse_a_nonpositive_eps(build, eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        build(eps)
+
+
+def test_build_n_plus_refuses_a_zero_calibration_state():
+    with pytest.raises(SynthesisError, match="zero calibration state"):
+        build_n_plus(None, 0.0, 0.0, 1e-3)
+
+
+def test_only_table_gates_are_exact():
+    assert ideal_merge_gate().exact
+    assert not build_N(None, 1e-3).exact
+
+
+def test_expansion_table_clamp_leaves_no_zero_component():
+    # past the equator the doubled angle is clamped at pi: the image is
+    # exactly |1> with the row's phase, not cos(pi / 2) = 6.1e-17 of |0>
+    rows = np.array([[0.6, 0.8j], [1 / SQ2, -1 / SQ2], [0.0, 1.0], [0.8, 0.6]])
+    out = ExpandTableMap().apply_batch(rows)
+    assert out[:3, 0].tolist() == [0.0, 0.0, 0.0]
+    assert np.allclose(out[:3, 1], [1j, -1.0, 1.0], rtol=0.0, atol=1e-15)
+    assert out[3, 0] != 0.0
 
 
 def test_fold_unitary_matches_module_constant():

@@ -743,6 +743,7 @@ def expand_apply_batch_before(self, pairs, noise=None):
     phase1 = np.where(mag1 > 0, out[:, 1] / np.where(mag1 > 0, mag1, 1.0), 1.0)
     out[:, 0] = norms * np.cos(theta / 2.0) * phase0
     out[:, 1] = norms * np.sin(theta / 2.0) * phase1
+    out[theta == math.pi, 0] = 0.0  # the clamped image is exactly |1>
     return out
 
 

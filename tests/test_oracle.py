@@ -195,6 +195,50 @@ def test_apply_oracle_validates_indices():
         apply_oracle(sv, [0, 2], 2, spec)
 
 
+@pytest.mark.parametrize("oracle, inputs, flag, words", [
+    (TruthTableOracle(2, ()), [0, 1], 2, "needs an OracleSpec"),
+    (OracleSpec(TruthTableOracle(2, ())), [0], 2, "2 variables but 1 input qubits"),
+    (OracleSpec(TruthTableOracle(2, ())), [1, 1], 2, "distinct"),
+    (OracleSpec(TruthTableOracle(2, ())), [0, 2], 2, "distinct"),  # flag collides
+    (OracleSpec(TruthTableOracle(2, ())), [0, 3], 2, "out of range"),
+    (OracleSpec(TruthTableOracle(2, ())), [0, 1], -1, "out of range"),
+])
+def test_apply_oracle_refusals(oracle, inputs, flag, words):
+    with pytest.raises((TypeError, ValueError), match=words):
+        apply_oracle(new_basis_state(3, 0), inputs, flag, oracle)
+    assert getattr(oracle, "call_counter", 0) == 0  # a refused query is not counted
+
+
+def test_oracle_spec_refuses_an_unsupported_variant():
+    with pytest.raises(TypeError, match="unsupported oracle variant"):
+        OracleSpec({"num_vars": 2, "solutions": [1]})
+
+
+def test_query_returns_f_on_every_input_and_ticks_once():
+    spec = OracleSpec(CnfFormula(2, ((2,),)))
+    assert spec.query().tolist() == [False, True, False, True]
+    assert spec.call_counter == 1
+
+
+@pytest.mark.parametrize("doc, field", [
+    ('{"num_vars": 3, "solutions": "57"}', "'solutions'"),  # was solutions (5, 7)
+    ('{"num_vars": 3.9, "solutions": [1.7, 2]}', "'num_vars'"),  # was (3, (1, 2))
+    ('{"num_vars": 3, "solutions": [1.7, 2]}', "'solutions'"),
+    ('{"num_vars": true, "solutions": []}', "'num_vars'"),
+    ('{"num_vars": "3", "solutions": [1]}', "'num_vars'"),
+    ('{"num_vars": 3, "solutions": {"1": 0}}', "'solutions'"),
+    ('{"num_vars": 3, "solutions": [true]}', "'solutions'"),
+    ('{"num_vars": 3, "solutions": null}', "'solutions'"),
+])
+def test_truth_table_documents_of_the_wrong_types_are_refused(doc, field):
+    with pytest.raises(ValueError, match=field):
+        load_truth_table(doc)
+
+
+def test_truth_table_document_keeps_accepting_repeated_solutions():
+    assert load_truth_table('{"num_vars": 3, "solutions": [5, 1, 5]}').solutions == (1, 5)
+
+
 def test_count_bruteforce():
     assert count_solutions_bruteforce(TruthTableOracle(3, ())) == 0
     assert count_solutions_bruteforce(TruthTableOracle(3, (1, 2, 7))) == 3

@@ -243,6 +243,39 @@ def test_repeated_qubits_are_refused_by_every_pattern_call():
         collapse_onto_pattern(sv, [1, 1], 0)
 
 
+@pytest.mark.parametrize("amps", [[math.nan, 0.0], [1.0, math.inf], [complex(0, math.nan), 1.0]])
+def test_state_vector_refuses_non_finite_amplitudes(amps):
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        StateVector(1, np.array(amps))
+
+
+def test_gates_of_the_wrong_shape_are_refused():
+    with pytest.raises(ValueError, match="expected 2x2 matrix, got \\(4, 4\\)"):
+        apply_1q_unitary(new_basis_state(2, 0), 0, np.eye(4))
+    with pytest.raises(ValueError, match="expected 4x4 matrix, got \\(2, 2\\)"):
+        apply_2q_unitary(new_basis_state(2, 0), 0, 1, np.eye(2))
+
+
+def test_an_empty_qubit_set_is_refused():
+    sv = random_state(make_rng(6), 2)
+    with pytest.raises(ValueError, match="empty qubit set"):
+        probability_of_pattern(sv, [], 0)
+    with pytest.raises(ValueError, match="empty qubit set"):
+        measure_qubits(sv, [], make_rng(0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda sv: probability_of_pattern(sv, [0, 2], 4),
+    lambda sv: probability_of_pattern(sv, [1], -1),
+    lambda sv: collapse_onto_pattern(sv, [1], 2),
+    lambda sv: conditional_qubit_state(sv, 1, 4),
+    lambda sv: conditional_qubit_state(sv, 0, -1),
+])
+def test_bit_patterns_out_of_range_are_refused(call):
+    with pytest.raises(ValueError, match="out of range"):
+        call(random_state(make_rng(7), 3))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_norm_preserved_under_random_circuits(seed):

@@ -298,6 +298,64 @@ def test_aligned_profile_frequencies():
         assert h.value(a) == pytest.approx(plain.value(a), abs=1e-12)
 
 
+def test_closed_form_on_arrays_is_the_closed_form_of_each_pair():
+    rng = make_rng(21)
+    pairs = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+    h = HbarFunction((0.1, -0.4, 0.3, 0.2))
+    e1, e2 = evolve_closed_form(pairs[:, 0], pairs[:, 1], h, 2.5)
+    for k, (c1, c2) in enumerate(pairs):
+        want = evolve_closed_form(complex(c1), complex(c2), h, 2.5)
+        assert np.allclose([e1[k], e2[k]], want, rtol=1e-14, atol=0.0)
+    pairs[3] = 0.0
+    with pytest.raises(ValueError, match="zero-norm"):
+        evolve_closed_form(pairs[:, 0], pairs[:, 1], h, 2.5)
+
+
+@pytest.mark.parametrize("coefficients, words", [
+    ((), "at least one coefficient"),
+    ((0.0, math.nan), "finite"),
+    ((math.inf,), "finite"),
+])
+def test_hbar_function_refuses_bad_coefficients(coefficients, words):
+    with pytest.raises(ValueError, match=words):
+        HbarFunction(coefficients)
+
+
+@pytest.mark.parametrize("w, z, words", [
+    (-0.1, 0.5, "must lie in \\[0, 1\\]"),
+    (0.2, 1.5, "must lie in \\[0, 1\\]"),
+    (0.3, 0.3, "degenerate"),
+    (0.3, 0.3 + 1e-15, "degenerate"),
+])
+def test_phase_aligned_hbar_refuses_bad_latitudes(w, z, words):
+    with pytest.raises(ValueError, match=words):
+        phase_aligned_hbar(w, z)
+
+
+def test_hamiltonian_and_homogeneity_refusals():
+    with pytest.raises(ValueError, match="zero-norm pair"):
+        hamiltonian_value(SQUARE, 0.0, 0.0)
+    for scale in (0.0, -2.0):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            homogeneity_check(SQUARE, 0.6, 0.8, scale)
+
+
+def test_integrator_step_guard_is_its_own():
+    with pytest.raises(ValueError, match="exceeds the step-count guard"):
+        evolve_integrated(0.6, 0.8, SQUARE, 1e5, 1e-3)
+
+
+def test_trajectory_refuses_negative_times():
+    with pytest.raises(ValueError, match="times must be nonnegative"):
+        trajectory(0.6, 0.8, SQUARE, [0.5, -1e-3], dt=1e-3)
+
+
+def test_phase_time_of_a_constant_zero_profile_has_no_solution():
+    # every frequency is 0, so the phase of the second latitude never turns
+    with pytest.raises(PhaseAlignmentError, match="no alignment time"):
+        find_phase_time(HbarFunction((0.0,)), math.pi / 8, eps=1e-3)
+
+
 def test_trajectory_rows():
     rows = trajectory(1 / math.sqrt(2), 1 / math.sqrt(2), SQUARE, [0.0, 0.5, 1.0], dt=1e-3)
     assert rows[0][0] == 0.0
