@@ -37,8 +37,6 @@ from .weinberg import (
     evolve_closed_form,
     evolve_integrated,
     find_phase_time,
-    hamiltonian_value,
-    homogeneity_check,
     omega12,
     phase_aligned_hbar,
     trajectory,

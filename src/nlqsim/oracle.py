@@ -56,7 +56,8 @@ class TruthTableOracle:
         sols = tuple(int(s) for s in self.solutions)
         if list(sols) != sorted(set(sols)):
             raise ValueError("solutions must be strictly sorted and unique")
-        if sols and not (0 <= sols[0] and sols[-1] < (1 << self.num_vars)):
+        # bit_length, not 1 << num_vars: a huge num_vars must not allocate
+        if sols and not (0 <= sols[0] and sols[-1].bit_length() <= self.num_vars):
             raise ValueError("solution out of range")
         object.__setattr__(self, "solutions", sols)
 

@@ -33,6 +33,7 @@ identically, making the alignment exact at t = pi / w2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -145,28 +146,6 @@ def omega12(h: HbarFunction, a):
     """The two phase frequencies (w1, w2) at latitude a."""
     hb, hp = h.value_and_derivative(a)
     return hb - a * hp, hb + (1.0 - a) * hp
-
-
-def hamiltonian_value(h: HbarFunction, c1: complex, c2: complex) -> float:
-    """h(psi, psi*) = n * hbar(a) for the pair (c1, c2)."""
-    n = abs(c1) ** 2 + abs(c2) ** 2
-    if n <= 0.0:
-        raise ValueError("zero-norm pair")
-    return float(n * h.value(abs(c2) ** 2 / n))
-
-
-def homogeneity_check(h: HbarFunction, c1: complex, c2: complex, scale: float,
-                      hamiltonian=None) -> float:
-    """|h(scale*psi) - scale^2 * h(psi)|; 0 for a degree-one homogeneous h.
-
-    `hamiltonian` overrides the evaluated function (defaults to n*hbar(a));
-    pass a corrupted one to exercise the negative control.
-    """
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    if hamiltonian is None:
-        hamiltonian = lambda a, b: hamiltonian_value(h, a, b)
-    return abs(hamiltonian(scale * c1, scale * c2) - scale**2 * hamiltonian(c1, c2))
 
 
 def evolve_closed_form(c1, c2, h: HbarFunction, t: float):
@@ -409,6 +388,29 @@ GRID_POINT_CAP = 20_000_000
 _PHASE_CELL = 64  # grid points per branch-and-bound cell of the phase search
 
 
+def _phase_residual(halves: tuple, t):
+    """The alignment residual max(|e1 - 1|, |e2 + 1|, |e3 - 1|, |e4 - 1|),
+    ek = exp(-i wk t), for halves = (w1u/2, w2u/2, w1v/2, w2v/2).
+
+    |exp(-ix) - 1| = 2|sin(x/2)| and |exp(-ix) + 1| = 2|cos(x/2)|: real
+    arithmetic, free of the cancellation in cos(x) - 1 next to the zeros
+    the search hunts for.  A float t goes through math, an array through
+    numpy; both call the same libm sin and cos, so they agree bitwise.
+    """
+    h1u, h2u, h1v, h2v = halves
+    if isinstance(t, float):
+        return 2.0 * max(abs(math.sin(h1u * t)), abs(math.cos(h2u * t)),
+                         abs(math.sin(h1v * t)), abs(math.sin(h2v * t)))
+    r = np.sin(h1u * t)
+    np.abs(r, out=r)
+    x = np.empty_like(r)  # one scratch array for the other three terms
+    for f, hw in ((np.cos, h2u), (np.sin, h1v), (np.sin, h2v)):
+        f(np.multiply(hw, t, out=x), out=x)
+        np.maximum(r, np.abs(x, out=x), out=r)
+    r *= 2.0
+    return r
+
+
 def find_phase_time(h: HbarFunction, phi: float, eps: float,
                     t_max: float = 2000.0) -> PhaseTargetSolution:
     """Find t with phases (1, -1, 1, 1) at latitudes sin^2(phi), cos^2(phi).
@@ -416,11 +418,16 @@ def find_phase_time(h: HbarFunction, phi: float, eps: float,
     The rotated images of |0> and |1> sit at a = sin^2(phi) and cos^2(phi);
     the gate construction needs exp(-i w1 t) = exp(-i w1' t) =
     exp(-i w2' t) = 1 at those latitudes while exp(-i w2 t) = -1 at the
-    lower one.  Tries the analytic single-frequency solution first (exact
-    for phase-aligned profiles), then the minimum over a dense grid, found
-    exactly by branch and bound, with golden-section refinement.  Raises PhaseAlignmentError when the tolerance cannot be
-    met, which for rationally dependent frequencies (e.g. hbar(a) = a^2 or
-    any linear profile) is unavoidable at any horizon.
+    lower one.  The residual of a time is the largest of the four
+    |exp(-i w t) -+ 1|, evaluated in half-angle form as 2|sin(w t / 2)| or
+    2|cos(w t / 2)| (`_phase_residual`): through math at t = 0, at the
+    analytic time and at the golden-section probes, through numpy on the
+    grid.  Tries the analytic single-frequency solution first (exact for
+    phase-aligned profiles), then the minimum over a dense grid, found
+    exactly by branch and bound, with golden-section refinement.  Raises
+    PhaseAlignmentError when the tolerance cannot be met, which for
+    rationally dependent frequencies (e.g. hbar(a) = a^2 or any linear
+    profile) is unavoidable at any horizon.
     """
     if not 0.0 < phi < math.pi / 4:
         raise ValueError("phi must lie strictly between 0 and pi/4")
@@ -433,27 +440,22 @@ def find_phase_time(h: HbarFunction, phi: float, eps: float,
     w1u, w2u = omega12(h, u)
     w1v, w2v = omega12(h, v)
 
-    def residual(t):
-        t = np.asarray(t, dtype=float)
-        r = np.abs(np.exp(-1j * w1u * t) - 1.0)
-        r = np.maximum(r, np.abs(np.exp(-1j * w2u * t) + 1.0))
-        r = np.maximum(r, np.abs(np.exp(-1j * w1v * t) - 1.0))
-        r = np.maximum(r, np.abs(np.exp(-1j * w2v * t) - 1.0))
-        return r
+    residual = functools.partial(_phase_residual, (0.5 * w1u, 0.5 * w2u, 0.5 * w1v, 0.5 * w2v))
 
     def solution(t):
-        return PhaseTargetSolution(float(t), float(residual(t)), float(phi))
+        return PhaseTargetSolution(float(t), residual(t), float(phi))
 
-    if float(residual(0.0)) <= eps:  # vacuous tolerance
+    best_t, best_r = 0.0, residual(0.0)
+    if best_r <= eps:  # vacuous tolerance
         return solution(0.0)
-
-    best_t, best_r = 0.0, float(residual(0.0))
     if w2u != 0.0:
         t_c = math.pi / abs(w2u)
-        if t_c <= t_max and float(residual(t_c)) <= eps:
-            return solution(t_c)
-        if t_c <= t_max and float(residual(t_c)) < best_r:
-            best_t, best_r = t_c, float(residual(t_c))
+        if t_c <= t_max:
+            r_c = residual(t_c)
+            if r_c <= eps:
+                return solution(t_c)
+            if r_c < best_r:
+                best_t, best_r = t_c, r_c
 
     omega_span = max(abs(w1u), abs(w2u), abs(w1v), abs(w2v))
     if omega_span == 0.0:
@@ -491,21 +493,21 @@ def find_phase_time(h: HbarFunction, phi: float, eps: float,
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = float(residual(c)), float(residual(d))
+    fc, fd = residual(c), residual(d)
     for _ in range(200):
         if b - a < 1e-15 * max(1.0, b):
             break
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = float(residual(c))
+            fc = residual(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = float(residual(d))
-    t_ref = c if fc < fd else d
-    if float(residual(t_ref)) < best_r:
-        best_t, best_r = float(t_ref), float(residual(t_ref))
+            fd = residual(d)
+    t_ref, r_ref = (c, fc) if fc < fd else (d, fd)
+    if r_ref < best_r:
+        best_t, best_r = t_ref, r_ref
 
     if best_r <= eps:
         return solution(best_t)

@@ -4,12 +4,13 @@ The references below build dense matrices, apply H one qubit at a time,
 lift branches through a boolean mask, measure by gathering the rows
 twice, evaluate the oracle one input at a time, apply the merge gate
 stage by stage, integrate on Python complex numbers and scan every point
-of the phase-search grid; none of them shares code with the strided
-kernels, the Walsh-Hadamard layer, the lift's fast paths, the oracle
-table, the row-batched sweep, the real-arithmetic RK4 or the branch and
-bound.  The polar-angle maps, the merge-gate assembly and the sandwich
-passes' phase searches are checked against the bodies they replaced,
-kept here verbatim.
+of the phase-search grid, on the half-angle residual (bitwise) and on
+the exp-form residual it replaced (to 1e-15); none of them shares code
+with the strided kernels, the Walsh-Hadamard layer, the lift's fast
+paths, the oracle table, the row-batched sweep, the real-arithmetic RK4
+or the branch and bound.  The polar-angle maps, the merge-gate assembly
+and the sandwich passes' phase searches are checked against the bodies
+they replaced, kept here verbatim.
 """
 
 import hashlib
@@ -565,12 +566,9 @@ def test_rk4_bitwise_equals_complex_form_on_random_profiles_pairs_and_remainders
 
 # -- phase-time search: branch and bound against the dense scan ------------
 
-def dense_phase_search(h, phi, eps, t_max):
-    """find_phase_time with every grid point evaluated (same grid, same
-    tie rule, same golden-section refinement)."""
-    u, v = math.sin(phi) ** 2, math.cos(phi) ** 2
-    w1u, w2u = omega12(h, u)
-    w1v, w2v = omega12(h, v)
+def exp_residual(w1u, w2u, w1v, w2v):
+    """The residual in its exp form, |exp(-i w t) -+ 1| through complex
+    numpy exp, as find_phase_time evaluated it before its half-angle form."""
 
     def residual(t):
         t = np.asarray(t, dtype=float)
@@ -578,6 +576,31 @@ def dense_phase_search(h, phi, eps, t_max):
         r = np.maximum(r, np.abs(np.exp(-1j * w2u * t) + 1.0))
         r = np.maximum(r, np.abs(np.exp(-1j * w1v * t) - 1.0))
         return np.maximum(r, np.abs(np.exp(-1j * w2v * t) - 1.0))
+
+    return residual
+
+
+def half_angle_residual(w1u, w2u, w1v, w2v):
+    """2 max(|sin(w1u t/2)|, |cos(w2u t/2)|, |sin(w1v t/2)|, |sin(w2v t/2)|),
+    numpy on floats and arrays alike, without in-place buffers."""
+    h1u, h2u, h1v, h2v = 0.5 * w1u, 0.5 * w2u, 0.5 * w1v, 0.5 * w2v
+
+    def residual(t):
+        t = np.asarray(t, dtype=float)
+        r = np.maximum(np.abs(np.sin(h1u * t)), np.abs(np.cos(h2u * t)))
+        r = np.maximum(r, np.abs(np.sin(h1v * t)))
+        return 2.0 * np.maximum(r, np.abs(np.sin(h2v * t)))
+
+    return residual
+
+
+def dense_phase_search(h, phi, eps, t_max, form=half_angle_residual):
+    """find_phase_time with every grid point evaluated (same grid, same
+    tie rule, same golden-section refinement), on the residual `form`."""
+    u, v = math.sin(phi) ** 2, math.cos(phi) ** 2
+    w1u, w2u = omega12(h, u)
+    w1v, w2v = omega12(h, v)
+    residual = form(w1u, w2u, w1v, w2v)
 
     def solution(t):
         return PhaseTargetSolution(float(t), float(residual(t)), float(phi))
@@ -642,6 +665,24 @@ def assert_search_matches_dense_scan(h, phi, eps, t_max):
     return want[0]
 
 
+def assert_search_agrees_with_exp_form(h, phi, eps, t_max):
+    """Same kind, t_star and message as the exp-form dense scan, and the best
+    residual within 1e-15: the two forms round differently (the exp form
+    computes cos(x) - 1 with cancellation), so bits may differ."""
+    def outcome(search, *form):
+        try:
+            sol = search(h, phi, eps, t_max, *form)
+        except PhaseAlignmentError as exc:
+            return "no solution", None, str(exc), exc.best_residual
+        return "solution", sol.t_star, None, sol.residual
+
+    want = outcome(dense_phase_search, exp_residual)
+    got = outcome(find_phase_time)
+    assert got[:3] == want[:3]
+    assert abs(got[3] - want[3]) <= 1e-15
+    return got[0]
+
+
 def no_solution_cubic(eps, rng):
     """Cubic with hbar'(u) = 0 at the contraction latitude u of `ngate-verify
     --eps eps`: there w1(u) = w2(u), so no time aligns the phases.  Scaled to
@@ -654,14 +695,23 @@ def no_solution_cubic(eps, rng):
     return HbarFunction(tuple(c * 0.5 / span for c in h.coefficients))
 
 
+def contraction_search(eps, h=None):
+    """The phase search of `ngate-verify --eps eps`'s contraction pass: its
+    rotation angle, profile (phase-aligned when h is None) and tolerance."""
+    offset = min(math.sqrt(eps) / 2.0, 0.5)
+    phi = (math.pi - offset) / 4.0
+    if h is None:
+        h = phase_aligned_hbar(math.sin(phi) ** 2, math.cos(phi) ** 2)
+    return h, phi, max(offset / 10.0, 1e-12)
+
+
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_phase_search_matches_dense_scan_on_no_solution_cubics(seed):
     rng = make_rng(seed)
     eps = 10.0 ** -(1.0 + rng.uniform())
-    offset = min(math.sqrt(eps) / 2.0, 0.5)  # the contraction pass of build_N
-    h = no_solution_cubic(eps, rng)
-    phi = (math.pi - offset) / 4.0
-    assert assert_search_matches_dense_scan(h, phi, max(offset / 10.0, 1e-12), 2000.0) == "no solution"
+    h, phi, search_eps = contraction_search(eps, no_solution_cubic(eps, rng))
+    assert assert_search_matches_dense_scan(h, phi, search_eps, 2000.0) == "no solution"
+    assert assert_search_agrees_with_exp_form(h, phi, search_eps, 2000.0) == "no solution"
 
 
 @pytest.mark.parametrize("coefs, eps, t_max, kind", [
@@ -675,28 +725,82 @@ def test_phase_search_matches_dense_scan(coefs, eps, t_max, kind):
     assert assert_search_matches_dense_scan(HbarFunction(coefs), math.pi / 8, eps, t_max) == kind
 
 
+# -- the half-angle residual against the exp form it replaced ---------------
+
+def test_phase_search_agrees_with_the_exp_form_on_benchmark_draws():
+    # ngate-verify's draws, as the synth benchmark makes them: no-solution
+    # cubics at eps 10^-(1..2) and aligned profiles at eps 10^-(3..9), plus
+    # generic profiles.  The cubics and generic profiles get horizons of
+    # 100-300, not 2000, so that the exp-form dense scan stays cheap.
+    rng = make_rng(4242)
+    kinds = []
+    for case in range(40):
+        if case % 5 < 3:
+            eps = 10.0 ** -(1.0 + rng.uniform())
+            h, phi, search_eps = contraction_search(eps, no_solution_cubic(eps, rng))
+            t_max = float(rng.uniform(100.0, 300.0))
+        elif case % 5 == 3:
+            h, phi, search_eps = contraction_search(10.0 ** -(3.0 + 6.0 * rng.uniform()))
+            t_max = 4.0 * math.pi / h.omega0
+        else:
+            h = HbarFunction(tuple(rng.normal(size=int(rng.integers(2, 5)))))
+            phi = float(rng.uniform(0.05, math.pi / 4 - 0.05))
+            search_eps = 10.0 ** float(rng.uniform(-1.5, -0.3))
+            t_max = float(rng.uniform(100.0, 300.0))
+        kinds.append(assert_search_agrees_with_exp_form(h, phi, search_eps, t_max))
+    assert kinds.count("solution") >= 8 and kinds.count("no solution") >= 24
+
+
+def test_half_angle_residual_agrees_with_the_exp_form_at_zero_and_at_each_term_zero():
+    rng = make_rng(77)
+    a = float(rng.uniform(0.1, 2.0))
+    for w, commensurate in [(tuple(rng.normal(size=4)), False), ((0.5, 0.5, 0.2, -0.3), False),
+                            ((0.0, 1.3, 0.0, 0.7), False), ((2.0 * a, a, 4.0 * a, 0.0), True)]:
+        # |exp(-i w t) - 1| vanishes at |w| t = 2 pi k, |exp(-i w t) + 1| at 2 pi k + pi
+        shifts = (0.0, math.pi, 0.0, 0.0)
+        zeros = [(2.0 * math.pi * k + shift) / abs(wk) for wk, shift in zip(w, shifts) if wk
+                 for k in range(int(300.0 * abs(wk) / (2.0 * math.pi)) + 1)]
+        ts = np.concatenate([[0.0], zeros, np.linspace(0.0, 300.0, 3001)])
+        got = weinberg._phase_residual(tuple(0.5 * wk for wk in w), ts)
+        assert np.max(np.abs(got - exp_residual(*w)(ts))) <= 1e-15
+        if commensurate:  # every term vanishes at t = (2k + 1) pi / a
+            assert np.min(got) < 1e-13
+
+
+def test_phase_residual_float_path_is_bitwise_its_array_path():
+    rng = make_rng(78)
+    for _ in range(10):
+        halves = tuple(float(x) for x in 0.5 * rng.normal(size=4) * 10.0 ** rng.uniform(-3.0, 1.0))
+        ts = np.concatenate([[0.0], rng.uniform(0.0, 2000.0, size=999)])
+        array = weinberg._phase_residual(halves, ts)
+        floats = [weinberg._phase_residual(halves, float(t)) for t in ts]
+        assert all(type(r) is float for r in floats)
+        assert np.array_equal(array.view(np.uint64), np.array(floats).view(np.uint64))
+
+
 @dataclass(frozen=True)
 class TwoLevelHbar(HbarFunction):
     """Flat at each latitude: w1 = w2 = c below a = 1/2 and 2c above."""
 
-    def value(self, a):
-        return self.coefficients[0] * (1.0 if a < 0.5 else 2.0)
-
-    def derivative(self, a):
-        return 0.0
+    def value_and_derivative(self, a):
+        return self.coefficients[0] * (1.0 if a < 0.5 else 2.0), 0.0
 
 
 def test_phase_search_keeps_the_first_of_two_equal_grid_minima():
-    # Frequencies (1, 1, 2, 2): the residual at grid index 2i repeats the
-    # phase of index i bit for bit, and i = 419 sits next to phase pi/3,
-    # where both points are the grid minimum.
-    h, phi, eps, t_max = TwoLevelHbar((1.0,)), math.pi / 8, 0.05, 2.5
-    ts = np.arange(1001) * (eps / 20.0)
-    r = np.abs(np.exp(-1j * ts) - 1.0)
-    r = np.maximum(r, np.abs(np.exp(-1j * ts) + 1.0))
-    r = np.maximum(r, np.abs(np.exp(-2j * ts) - 1.0))
-    assert list(np.flatnonzero(r == r.min())) == [419, 838]
-    assert assert_search_matches_dense_scan(h, phi, eps, t_max) == "no solution"
+    # Frequencies (1, 1, 2, 2), half-frequencies (1/2, 1/2, 1, 1): t_2i is
+    # 2 t_i exactly, so |sin(t_2i / 2)| at index 2i is |sin t_i| bit for
+    # bit.  Just past phase pi/3 the residual at i and at 2i is that same
+    # 2|sin t_i|, the grid minimum.  The solvable case refines the first
+    # one, next to pi/3; the second would refine to 2 pi/3.
+    h, phi, t_max = TwoLevelHbar((1.0,)), math.pi / 8, 2.5
+    assert omega12(h, math.sin(phi) ** 2) == (1.0, 1.0)
+    assert omega12(h, math.cos(phi) ** 2) == (2.0, 2.0)
+    for eps, ties, kind in [(0.05, [419, 838], "no solution"), (1.75, [12, 24], "solution")]:
+        step = eps / 20.0  # eps / (10 * largest frequency)
+        r = weinberg._phase_residual((0.5, 0.5, 1.0, 1.0), np.arange(int(t_max / step) + 1) * step)
+        assert list(np.flatnonzero(r == r.min())) == ties
+        assert assert_search_matches_dense_scan(h, phi, eps, t_max) == kind
+    assert abs(find_phase_time(h, phi, 1.75, t_max).t_star - math.pi / 3) < 1e-9
 
 
 def test_phase_search_matches_dense_scan_on_a_capped_grid(monkeypatch):

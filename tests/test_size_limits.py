@@ -5,6 +5,7 @@ the bytes of one dense 20-qubit complex128 register.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,24 @@ def test_cnf_truth_table_runs_at_24_and_refuses_25():
 
 def test_truth_table_brute_force_allocates_nothing_and_has_no_limit():
     assert count_solutions_bruteforce(TruthTableOracle(64, (3, 1 << 40))) == 2
+
+
+def test_a_huge_truth_table_is_refused_without_a_2_to_the_n_integer(capsys, tmp_path):
+    # the range check must not build 1 << num_vars (125 MB at num_vars = 10**9)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"num_vars": 10**9, "solutions": [1]}))
+    tracemalloc.start()
+    try:
+        assert TruthTableOracle(10**9, (1,)).solutions == (1,)
+        code = main(["count", "--algorithm", "alg2", "--truth-table", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "capped at n = 20:" in captured.err
 
 
 @pytest.mark.parametrize("s", [0, 1])
