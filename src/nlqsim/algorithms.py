@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -191,12 +191,9 @@ def flag_theta(n: int, s: int) -> float:
     return 2.0 * math.atan2(s, (1 << n) - s)
 
 
-def _rotate_pair(pair, bloch_delta: float, noise: NoiseModel | None = None):
+def _rotate_pair(pair, bloch_delta: float, noise: NoiseModel):
     """Rigid rotation moving polar angles up by bloch_delta along the meridian."""
-    ang = bloch_delta / 2.0
-    if noise is not None:
-        ang = noise.perturb(ang)
-    r = rotation(-ang)
+    r = rotation(-noise.perturb(bloch_delta / 2.0))
     c1, c2 = pair
     return (r[0, 0] * c1 + r[0, 1] * c2, r[1, 0] * c1 + r[1, 1] * c2)
 
@@ -207,11 +204,10 @@ def _stretch_pair(pair, m: StretchMap):
     return complex(row[0]), complex(row[1])
 
 
-def _jittered_stretch(m: StretchMap, noise: NoiseModel) -> StretchMap:
-    if noise.sigma == 0.0:
-        return m
-    lam = noise.perturb(m.lam)
-    return replace(m, lam=min(lam, m.max_lambda()))
+def _read_flag(pair, rng) -> int:
+    """Measure the flag qubit in the state pair; returns the outcome bit."""
+    record, _ = measure_qubits(StateVector(1, np.array(pair)), [0], rng)
+    return record.outcome_bits
 
 
 def _prepare_flag_state(n: int, oracle: OracleSpec, rng, max_trials: int):
@@ -268,7 +264,7 @@ def run_algorithm1(cfg: Alg1Config, noise: NoiseModel, report: RunReport):
             break
         if apps >= cfg.max_applications:
             break
-        pair = _stretch_pair(pair, _jittered_stretch(m, noise))
+        pair = _stretch_pair(pair, m.jittered(noise))
         pair = _rotate_pair(pair, ref - m.polar_map(ref), noise)
         report.applications_used += 1
 
@@ -278,7 +274,7 @@ def run_algorithm1(cfg: Alg1Config, noise: NoiseModel, report: RunReport):
             crossed_at is None or theta_act >= math.pi - RESOLVE_MARGIN)
         if resolved or report.applications_used >= cfg.max_applications:
             break
-        pair = _stretch_pair(pair, _jittered_stretch(m, noise))
+        pair = _stretch_pair(pair, m.jittered(noise))
         ref = float(m.polar_map(ref))
         report.applications_used += 1
         traj.append((report.applications_used,
@@ -287,8 +283,7 @@ def run_algorithm1(cfg: Alg1Config, noise: NoiseModel, report: RunReport):
     if not resolved:  # an unresolved flag would decide by chance: no decision
         report.notes.append("application budget exhausted before full resolution")
         return
-    record, _ = measure_qubits(StateVector(1, np.array(pair)), [0], noise.rng)
-    report.decision = "solution-exists" if record.outcome_bits == 1 else "no-solution"
+    report.decision = "solution-exists" if _read_flag(pair, noise.rng) == 1 else "no-solution"
     report.succeeded = True
 
 
@@ -319,20 +314,17 @@ def run_algorithm1_count(cfg: Alg1Config, noise: NoiseModel, report: RunReport):
         pair = _rotate_pair(pair, delta, noise)
         ref_lo, ref_hi = th_lo + delta, th_hi + delta
         apps = 0
-        while apps < cfg.max_applications and not (
-            ref_lo <= RESOLVE_MARGIN and ref_hi >= math.pi - RESOLVE_MARGIN
-        ):
-            pair = _stretch_pair(pair, _jittered_stretch(m, noise))
+        while not (ref_lo <= RESOLVE_MARGIN and ref_hi >= math.pi - RESOLVE_MARGIN):
+            if apps >= cfg.max_applications:
+                report.notes.append(f"application budget exhausted in round {rounds}")
+                return
+            pair = _stretch_pair(pair, m.jittered(noise))
             ref_lo = float(m.polar_map(ref_lo))
             ref_hi = float(m.polar_map(ref_hi))
             apps += 1
             report.applications_used += 1
             traj.append((report.applications_used, ref_hi - ref_lo))
-        if not (ref_lo <= RESOLVE_MARGIN and ref_hi >= math.pi - RESOLVE_MARGIN):
-            report.notes.append(f"application budget exhausted in round {rounds}")
-            return
-        record, _ = measure_qubits(StateVector(1, np.array(pair)), [0], noise.rng)
-        if record.outcome_bits == 1:
+        if _read_flag(pair, noise.rng) == 1:
             lo = mid + 1
         else:
             hi = mid

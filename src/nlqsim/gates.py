@@ -28,8 +28,8 @@ well-defined artifact of the synthesis, not a contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -191,13 +191,14 @@ def _sandwich(rho: float, evolve: tuple) -> tuple:
 
 
 def n_minus_single_pass(c1: complex, c2: complex, phi: float, h: HbarFunction,
-                        sol: PhaseTargetSolution, tolerance: float = 1e-3):
+                        sol: PhaseTargetSolution):
     """One contraction pass R(-phi) o evolve(t*) o R(phi).
 
     On |0> and |1> this yields cos(2 phi)|0> + sin(2 phi)|1> and |1>
     respectively, up to the phase-solution residual: the pair angle
     shrinks by 2 phi.
     """
+    tolerance = 1e-3  # the largest phase residual a pass accepts
     if abs(sol.phi - phi) > 1e-12:
         raise ValueError("phase solution was computed for a different rotation angle")
     if sol.residual > tolerance:
@@ -212,16 +213,15 @@ def n_minus_single_pass(c1: complex, c2: complex, phi: float, h: HbarFunction,
     return pass_map.apply(c1, c2)
 
 
-def _pass_evolution(h: HbarFunction | None, phi: float, eps: float,
-                    t_max: float | None, what: str) -> tuple:
+def _pass_evolution(h: HbarFunction | None, phi: float, eps: float, what: str) -> tuple:
     """The ("evolve", (profile, t*)) stage of a sandwich pass at rotation phi,
     searched to tolerance eps; h None builds a phase-aligned profile for phi,
-    and t_max None a horizon that reaches its exact time."""
+    and a phase-aligned profile's horizon 4 pi / omega0 holds its exact time."""
     h_use = h if h is not None else phase_aligned_hbar(math.sin(phi) ** 2, math.cos(phi) ** 2)
-    if t_max is None:
-        t_max = 4.0 * math.pi / h_use.omega0 if isinstance(h_use, PhaseAlignedHbar) else 2000.0
+    aligned = isinstance(h_use, PhaseAlignedHbar)
+    horizon = {"t_max": 4.0 * math.pi / h_use.omega0} if aligned else {}
     try:
-        sol = find_phase_time(h_use, phi, eps=max(eps, 1e-12), t_max=t_max)
+        sol = find_phase_time(h_use, phi, eps=max(eps, 1e-12), **horizon)
     except PhaseAlignmentError as exc:
         raise SynthesisError(
             f"{what} pass at phi={phi:.6g} found no phase solution: {exc}"
@@ -229,8 +229,7 @@ def _pass_evolution(h: HbarFunction | None, phi: float, eps: float,
     return ("evolve", (h_use, sol.t_star))
 
 
-def build_n_minus(h: HbarFunction | None, eps: float,
-                  t_max: float | None = None) -> NonlinearMap:
+def build_n_minus(h: HbarFunction | None, eps: float) -> NonlinearMap:
     """Contraction gate: both |0> and |1> land within Bloch angle eps of |0>.
 
     A single pass with phi just below pi/4 folds |0> onto a point a design
@@ -244,7 +243,7 @@ def build_n_minus(h: HbarFunction | None, eps: float,
     offset = min(eps / 2.0, 0.5)
     phi = (math.pi - offset) / 4.0
     gate = NonlinearMap(
-        stages=(*_sandwich(phi, _pass_evolution(h, phi, offset / 10.0, t_max, "contraction")),
+        stages=(*_sandwich(phi, _pass_evolution(h, phi, offset / 10.0, "contraction")),
                 ("rotate", math.pi / 2.0)),
         tolerance=eps,
         descriptor=f"n-minus(eps={eps:.3g}, passes=1)",
@@ -259,14 +258,13 @@ def build_n_minus(h: HbarFunction | None, eps: float,
     return gate
 
 
-def build_n_plus(h: HbarFunction | None, x: complex, y: complex, eps: float,
-                 t_max: float | None = None) -> NonlinearMap:
+def build_n_plus(x: complex, y: complex, eps: float) -> NonlinearMap:
     """Expansion gate: sends the given x|0> + y|1> to |1>, fixes |0>.
 
     Valid only for the calibration pair (x, y); other inputs are merely
-    norm-preserved.  The pass pins |0> at the profile's frozen latitude
-    (exactly, all its phases are 1 there) and reflects the calibration
-    state across the axis, so the image reaches |1> up to the residual.
+    norm-preserved.  The pass, on its own phase-aligned profile, pins |0>
+    at the frozen latitude (exactly, all its phases are 1 there) and
+    reflects the calibration state, so the image reaches |1> up to the residual.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -282,7 +280,7 @@ def build_n_plus(h: HbarFunction | None, x: complex, y: complex, eps: float,
     phi = math.pi / 4.0 - chi / 2.0
     if phi > 1e-9:
         rho = math.pi / 2.0 - phi
-        stages += _sandwich(rho, _pass_evolution(h, phi, eps / 10.0, t_max, "expansion"))
+        stages += _sandwich(rho, _pass_evolution(None, phi, eps / 10.0, "expansion"))
     gate = NonlinearMap(
         stages=tuple(stages),
         tolerance=eps,
@@ -346,7 +344,6 @@ class CompositeNGate:
     """
 
     stages: tuple
-    fidelity: float
     tolerance: float
     case_fidelities: tuple[float, float, float] = (0.0, 0.0, 0.0)
     notes: tuple[str, ...] = field(default_factory=tuple)
@@ -368,6 +365,11 @@ class CompositeNGate:
             else:
                 raise ValueError(f"unknown stage kind {kind!r}")
         self._sweep_ops = tuple(ops)
+
+    @property
+    def fidelity(self) -> float:
+        """The worst pair-case fidelity."""
+        return min(self.case_fidelities)
 
     @property
     def exact(self) -> bool:
@@ -444,7 +446,7 @@ def _assemble_merge_gate(n_minus, make_n_plus, eps: float, label: str, digits: i
     """
     # Calibrate the corrective unitary and the expansion gate against the
     # flag-clear case, whose post-contraction state the chain leaves free.
-    leftover = CompositeNGate((("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)), 0.0,
+    leftover = CompositeNGate((("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)),
                               eps).apply_to_pair(PAIR_CASE_INPUTS[2])
     correct = _pinning_unitary(leftover)
     pinned = correct @ leftover
@@ -459,12 +461,12 @@ def _assemble_merge_gate(n_minus, make_n_plus, eps: float, label: str, digits: i
         ("flag_unitary", X_GATE),
         ("index_unitary", H_GATE),
     )
-    out_c = CompositeNGate(stages, 0.0, eps).apply_to_pair(PAIR_CASE_INPUTS[2])
+    out_c = CompositeNGate(stages, eps).apply_to_pair(PAIR_CASE_INPUTS[2])
     mu = float(np.angle(np.vdot(PAIR_CASE_TARGETS[2], out_c)))
-    gate = CompositeNGate(stages + (("flag_phase", -mu),), 0.0, eps, notes=notes)
+    gate = CompositeNGate(stages + (("flag_phase", -mu),), eps, notes=notes)
     fids = tuple(float(abs(np.vdot(target, gate.apply_to_pair(case))) ** 2)
                  for case, target in zip(PAIR_CASE_INPUTS, PAIR_CASE_TARGETS))
-    gate.case_fidelities, gate.fidelity = fids, min(fids)
+    gate.case_fidelities = fids
     if gate.fidelity < 1.0 - eps:
         raise SynthesisError(
             f"{label} fidelities "
@@ -494,7 +496,7 @@ def build_N(h: HbarFunction | None, eps: float) -> CompositeNGate:
 
     def make_n_plus(x: complex, y: complex) -> NonlinearMap:
         try:
-            return build_n_plus(None, x, y, budget / 2.0)
+            return build_n_plus(x, y, budget / 2.0)
         except SynthesisError as exc:
             raise SynthesisError(f"expansion stage failed: {exc}") from exc
 
@@ -528,10 +530,12 @@ class StretchMap:
     def region(self) -> tuple[float, float]:
         return self.theta0 - self.eta / 2.0, self.theta0 + self.eta / 2.0
 
-    def max_lambda(self, margin: float = 1e-6) -> float:
-        """Largest exponent keeping the map valid (used to clamp jitter)."""
-        cap = min(self.theta0 - margin, math.pi - self.theta0 - margin)
-        return math.log(cap / (self.eta / 2.0))
+    def jittered(self, noise) -> StretchMap:
+        """This map with noise on its exponent, clamped to keep it valid; self at sigma 0."""
+        if noise.sigma == 0.0:
+            return self
+        cap = min(self.theta0 - 1e-6, math.pi - self.theta0 - 1e-6)
+        return replace(self, lam=min(noise.perturb(self.lam), math.log(cap / (self.eta / 2.0))))
 
     def polar_map(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -546,7 +550,7 @@ class StretchMap:
         out = np.clip(out, 0.0, math.pi)
         return float(out) if out.ndim == 0 else out
 
-    def apply_batch(self, pairs: np.ndarray, noise=None) -> np.ndarray:
+    def apply_batch(self, pairs: np.ndarray) -> np.ndarray:
         return _polar_remap(np.asarray(pairs, dtype=np.complex128), self.polar_map,
                             keep_norm=False)[0]
 
@@ -564,8 +568,8 @@ class MergeTableMap(_PairMap):
     reaches, which is why it exists here only as a table.
     """
 
-    tolerance: float = 0.0
-    descriptor: str = "n-minus(table)"
+    tolerance: ClassVar[float] = 0.0
+    descriptor: ClassVar[str] = "n-minus(table)"
 
     def apply_batch(self, pairs: np.ndarray, noise=None) -> np.ndarray:
         pairs = np.asarray(pairs, dtype=np.complex128)
@@ -591,8 +595,8 @@ class ExpandTableMap(_PairMap):
     """
 
     zeta: float = 0.0
-    tolerance: float = 0.0
-    descriptor: str = "n-plus(table)"
+    tolerance: ClassVar[float] = 0.0
+    descriptor: ClassVar[str] = "n-plus(table)"
 
     def apply_batch(self, pairs: np.ndarray, noise=None) -> np.ndarray:
         aligned = np.array(pairs, dtype=np.complex128, copy=True)

@@ -439,6 +439,9 @@ def find_phase_time(h: HbarFunction, phi: float, eps: float,
     v = math.cos(phi) ** 2
     w1u, w2u = omega12(h, u)
     w1v, w2v = omega12(h, v)
+    if not all(math.isfinite(w * t_max) for w in (w1u, w2u, w1v, w2v)):
+        raise ValueError(f"phase frequencies ({w1u:.3g}, {w2u:.3g}, {w1v:.3g}, {w2v:.3g})"
+                         f" overflow over the horizon t_max={t_max:g}")
 
     residual = functools.partial(_phase_residual, (0.5 * w1u, 0.5 * w2u, 0.5 * w1v, 0.5 * w2v))
 
@@ -461,10 +464,10 @@ def find_phase_time(h: HbarFunction, phi: float, eps: float,
     if omega_span == 0.0:
         raise PhaseAlignmentError(t_max, best_r)
     step = eps / (10.0 * omega_span)
-    npoints = int(t_max / step) + 1
-    if npoints > GRID_POINT_CAP:
-        step = t_max / GRID_POINT_CAP
-        npoints = GRID_POINT_CAP + 1
+    if step > 0.0 and t_max / step < GRID_POINT_CAP:
+        npoints = int(t_max / step) + 1
+    else:  # the capped grid, also where the step underflows
+        step, npoints = t_max / GRID_POINT_CAP, GRID_POINT_CAP + 1
     # Exact branch and bound over the grid t_i = i * step: the residual is
     # Lipschitz with constant omega_span, so a cell of _PHASE_CELL points holds
     # no value below r(centre) - omega_span * reach; slack covers the

@@ -310,6 +310,16 @@ def test_algorithm1_application_budget_is_not_success():
     assert "application budget exhausted before full resolution" in report.notes
 
 
+def test_algorithm1_count_without_applications_stops_in_round_1():
+    # the boundary refs of round 1 start off the poles, so the budget check
+    # fires before any stretch and no flag is read
+    report = run_algorithm1_count(Alg1Config(n=3, oracle=spec_for(3, (5,)), max_applications=0))
+    assert not report.succeeded and report.count is None
+    assert report.notes == ["application budget exhausted in round 1"]
+    assert report.applications_used == 0 and report.separation_trajectory == []
+    assert report.trials_used >= 1 and report.oracle_calls == report.trials_used
+
+
 def test_algorithm1_budgets_must_be_positive():
     with pytest.raises(ValueError, match="max_applications"):
         Alg1Config(n=3, oracle=spec_for(3, (5,)), max_applications=-1)

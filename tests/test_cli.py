@@ -143,6 +143,16 @@ def test_ngate_verify_unattainable_eps_exits_2(capsys):
     assert "synthesis" in err
 
 
+@pytest.mark.parametrize("hbar, frequencies", [
+    ("1e306,1e306", "(1e+306, 2e+306, 1e+306, 2e+306)"),  # w t overflows
+    ("5e307,5e307", "(5e+307, 1e+308, 5e+307, 1e+308)"),  # so does w, nearly
+])
+def test_ngate_verify_refuses_frequencies_that_overflow_the_horizon(capsys, hbar, frequencies):
+    code, out, err = run_cli(capsys, "ngate-verify", "--eps", "0.05", f"--hbar={hbar}")
+    assert (code, out) == (1, "")
+    assert err == f"error: phase frequencies {frequencies} overflow over the horizon t_max=2000\n"
+
+
 def test_table_gate_synthesis_failure_exits_2_with_one_line(capsys):
     code, out, err = run_cli(capsys, "solve", "--algorithm", "alg2", "--eps", "1e-16",
                              "--truth-table", fx("one_solution_n5.json"))

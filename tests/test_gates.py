@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nlqsim.algorithms import NoiseModel
 from nlqsim.statevector import make_rng
 from nlqsim.weinberg import (
     HbarFunction,
@@ -122,8 +123,10 @@ def test_single_pass_rejects_stale_solution():
     phi = math.pi / 8
     h = aligned_for(phi)
     sol = find_phase_time(h, phi, eps=1e-9)
-    with pytest.raises(ValueError):
-        n_minus_single_pass(1.0, 0.0, phi, h, sol, tolerance=1e-18)
+    n_minus_single_pass(1.0, 0.0, phi, h, sol)
+    stale = PhaseTargetSolution(sol.t_star, 2e-3, phi)
+    with pytest.raises(ValueError, match=r"^stale phase solution: residual 0\.002 > tolerance 0\.001$"):
+        n_minus_single_pass(1.0, 0.0, phi, h, stale)
 
 
 def test_build_n_minus_lands_both_images():
@@ -135,11 +138,11 @@ def test_build_n_minus_lands_both_images():
 
 def test_build_n_minus_fails_for_square_profile():
     with pytest.raises(SynthesisError):
-        build_n_minus(HbarFunction((0.0, 0.0, 1.0)), 1e-3, t_max=100.0)
+        build_n_minus(HbarFunction((0.0, 0.0, 1.0)), 1e-3)
 
 
 def test_build_n_plus_contract():
-    gate = build_n_plus(None, 0.6, 0.8j, 1e-6)
+    gate = build_n_plus(0.6, 0.8j, 1e-6)
     img = gate.apply(0.6, 0.8j)
     assert bloch_distance(state_bloch(*img), ONE) <= 1e-6
     img0 = gate.apply(1.0, 0.0)
@@ -151,7 +154,7 @@ def test_build_n_plus_contract():
 
 def test_build_n_plus_rejects_degenerate_input():
     with pytest.raises(SynthesisError):
-        build_n_plus(None, 1.0, 1e-9, 1e-6)
+        build_n_plus(1.0, 1e-9, 1e-6)
 
 
 def merge_gate_cases(gate):
@@ -167,6 +170,13 @@ def test_build_N_reproduces_pair_table():
     fids = merge_gate_cases(gate)
     assert min(fids) >= 1 - 1e-3
     assert gate.fidelity == pytest.approx(min(fids))
+
+
+@pytest.mark.parametrize("make", [lambda: build_N(None, 1e-3), ideal_merge_gate])
+def test_merge_gate_fidelity_is_its_worst_pair_case(make):
+    gate = make()
+    assert gate.fidelity == min(gate.case_fidelities) == gate.audit()["fidelity"]
+    assert gate.case_fidelities == tuple(float(f) for f in merge_gate_cases(gate))
 
 
 def test_build_N_flag_clear_case_returns_in_phase():
@@ -194,8 +204,8 @@ def test_build_N_unattainable_tolerance_fails():
 def test_non_unitary_stage_raises_when_the_gate_is_built(kind, matrix):
     stages = [("unitary2q", FOLD_UNITARY), (kind, 1.001 * matrix)]
     with pytest.raises(ValueError, match="not unitary"):
-        CompositeNGate(stages, 0.0, 1e-3)
-    gate = CompositeNGate(stages[:1] + [(kind, matrix)], 0.0, 1e-3)
+        CompositeNGate(stages, 1e-3)
+    gate = CompositeNGate(stages[:1] + [(kind, matrix)], 1e-3)
     assert isinstance(gate.stages, tuple)  # no stage can be swapped in unchecked
     with pytest.raises(TypeError):
         gate.stages[1] = (kind, 1.001 * matrix)
@@ -230,7 +240,7 @@ def test_every_map_preserves_single_qubit_norm():
     rng = make_rng(9)
     maps = [
         build_n_minus(None, 1e-2),
-        build_n_plus(None, 0.6, 0.8, 1e-6),
+        build_n_plus(0.6, 0.8, 1e-6),
         MergeTableMap(),
         ExpandTableMap(zeta=0.3),
         StretchMap(),
@@ -275,6 +285,31 @@ def test_stretch_map_validation():
         StretchMap(lam=3.0)  # stretched image would leave (0, pi)
 
 
+def test_stretch_map_jitter_at_sigma_zero_is_the_map_itself():
+    m, rng = StretchMap(), make_rng(5)
+    state = rng.bit_generator.state
+    assert m.jittered(NoiseModel(0.0, rng)) is m
+    assert rng.bit_generator.state == state  # nothing drawn
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 10.0])
+@pytest.mark.parametrize("m", [StretchMap(), StretchMap(theta0=2.0, eta=0.5, lam=0.3)])
+def test_stretch_map_jitter_draws_one_normal_and_clamps_the_exponent(m, sigma):
+    # the largest exponent whose stretched region stays 1e-6 inside (0, pi)
+    bound = math.log(min(m.theta0 - 1e-6, math.pi - m.theta0 - 1e-6) / (m.eta / 2.0))
+    clamped = 0
+    for seed in range(20):
+        noise, ref = NoiseModel(sigma, make_rng(seed)), make_rng(seed)
+        jit = m.jittered(noise)
+        assert jit.lam == min(m.lam + ref.normal(0.0, sigma), bound)
+        assert noise.rng.bit_generator.state == ref.bit_generator.state  # one normal drawn
+        assert (jit.theta0, jit.eta) == (m.theta0, m.eta)
+        lo, hi = jit.polar_map(np.array(jit.region))
+        assert 0.0 < lo < hi < math.pi  # a valid map, also at the bound
+        clamped += jit.lam == bound
+    assert (clamped > 0) == (sigma == 10.0)
+
+
 @pytest.mark.parametrize("a_state", [
     [1.0, 0.0, 0.0, 0.0],  # already |00>: the identity
     [0.6, 0.8j, 0.0, 0.0],  # residual already along |01>: a phase only
@@ -293,7 +328,7 @@ def test_unknown_stage_kinds_are_refused():
     with pytest.raises(ValueError, match="unknown stage kind 'twist'"):
         twisted.apply(1.0, 0.0)
     with pytest.raises(ValueError, match="unknown stage kind 'twist'"):
-        CompositeNGate((("twist", 0.1),), 0.0, 0.0)
+        CompositeNGate((("twist", 0.1),), 0.0)
 
 
 def test_single_pass_refuses_a_solution_for_another_angle():
@@ -304,7 +339,7 @@ def test_single_pass_refuses_a_solution_for_another_angle():
 
 @pytest.mark.parametrize("build", [
     lambda eps: build_n_minus(None, eps),
-    lambda eps: build_n_plus(None, 0.6, 0.8, eps),
+    lambda eps: build_n_plus(0.6, 0.8, eps),
 ])
 @pytest.mark.parametrize("eps", [0.0, -1e-3])
 def test_sandwich_builders_refuse_a_nonpositive_eps(build, eps):
@@ -314,7 +349,7 @@ def test_sandwich_builders_refuse_a_nonpositive_eps(build, eps):
 
 def test_build_n_plus_refuses_a_zero_calibration_state():
     with pytest.raises(SynthesisError, match="zero calibration state"):
-        build_n_plus(None, 0.0, 0.0, 1e-3)
+        build_n_plus(0.0, 0.0, 1e-3)
 
 
 def test_only_table_gates_are_exact():

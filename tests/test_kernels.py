@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from nlqsim.algorithms import NoiseModel, _jittered_stretch, _stretch_pair
+from nlqsim.algorithms import NoiseModel, _stretch_pair
 from nlqsim.gates import (
     FOLD_UNITARY,
     H_GATE,
@@ -403,7 +403,7 @@ def test_stretch_pair_is_bitwise_the_one_qubit_register_lift():
     pairs = [(1 + 0j, 0j), (0j, 1 + 0j), (0j, -1j)]
     pairs += [tuple(random_state(rng, 1).amplitudes) for _ in range(40)]
     for pair in pairs:
-        for m in (StretchMap(), _jittered_stretch(StretchMap(), noise)):
+        for m in (StretchMap(), StretchMap().jittered(noise)):
             sv = apply_conditional_nonlinear(StateVector(1, np.array(pair)), 0, m)
             want = (complex(sv.amplitudes[0]), complex(sv.amplitudes[1]))
             got = _stretch_pair(pair, m)
@@ -901,7 +901,7 @@ def test_traced_gate_names_stay_where_bench_tracer_wraps_them():
 
 def ideal_merge_gate_before(eps=1e-9):
     n_minus = MergeTableMap()
-    leftover = CompositeNGate([("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)], 0.0,
+    leftover = CompositeNGate([("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)],
                               eps).apply_to_pair(PAIR_CASE_INPUTS[2])
     correct = _pinning_unitary(leftover)
     pinned = correct @ leftover
@@ -917,19 +917,18 @@ def ideal_merge_gate_before(eps=1e-9):
         ("flag_unitary", X_GATE),
         ("index_unitary", H_GATE),
     ]
-    partial = CompositeNGate(stages=stages, fidelity=0.0, tolerance=eps)
+    partial = CompositeNGate(stages=stages, tolerance=eps)
     out_c = partial.apply_to_pair(PAIR_CASE_INPUTS[2])
     mu = float(np.angle(np.vdot(PAIR_CASE_TARGETS[2], out_c)))
     stages = stages + [("flag_phase", -mu)]
 
-    gate = CompositeNGate(stages=stages, fidelity=0.0, tolerance=eps,
+    gate = CompositeNGate(stages=stages, tolerance=eps,
                           notes=("explicit pair-action tables",))
     fids = []
     for case_in, case_target in zip(PAIR_CASE_INPUTS, PAIR_CASE_TARGETS):
         out = gate.apply_to_pair(case_in)
         fids.append(float(abs(np.vdot(case_target, out)) ** 2))
     gate.case_fidelities = tuple(fids)
-    gate.fidelity = min(fids)
     if gate.fidelity < 1.0 - eps:
         raise SynthesisError(
             "table merge gate fidelities "
@@ -942,7 +941,7 @@ def ideal_merge_gate_before(eps=1e-9):
 def build_N_before(h, eps):
     budget = math.sqrt(eps)
     n_minus = build_n_minus(h, budget)
-    leftover = CompositeNGate([("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)], 0.0,
+    leftover = CompositeNGate([("unitary2q", FOLD_UNITARY), ("flag_map", n_minus)],
                               eps).apply_to_pair(PAIR_CASE_INPUTS[2])
     correct = _pinning_unitary(leftover)
     pinned = correct @ leftover
@@ -950,7 +949,7 @@ def build_N_before(h, eps):
     notes = []
     if stray > 1e-9:
         notes.append(f"pinning left {stray:.3g} outside the flag axis")
-    n_plus = build_n_plus(None, complex(pinned[0]), complex(pinned[1]), budget / 2.0)
+    n_plus = build_n_plus(complex(pinned[0]), complex(pinned[1]), budget / 2.0)
 
     stages = [
         ("unitary2q", FOLD_UNITARY),
@@ -960,19 +959,18 @@ def build_N_before(h, eps):
         ("flag_unitary", X_GATE),
         ("index_unitary", H_GATE),
     ]
-    partial = CompositeNGate(stages=stages, fidelity=0.0, tolerance=eps)
+    partial = CompositeNGate(stages=stages, tolerance=eps)
     out_c = partial.apply_to_pair(PAIR_CASE_INPUTS[2])
     mu = float(np.angle(np.vdot(PAIR_CASE_TARGETS[2], out_c)))
     stages = stages + [("flag_phase", -mu)]
 
-    gate = CompositeNGate(stages=stages, fidelity=0.0, tolerance=eps,
+    gate = CompositeNGate(stages=stages, tolerance=eps,
                           notes=tuple(notes))
     fids = []
     for case_in, case_target in zip(PAIR_CASE_INPUTS, PAIR_CASE_TARGETS):
         out = gate.apply_to_pair(case_in)
         fids.append(float(abs(np.vdot(case_target, out)) ** 2))
     gate.case_fidelities = tuple(fids)
-    gate.fidelity = min(fids)
     return gate
 
 
@@ -1043,13 +1041,12 @@ def alignment_horizon_before(h, fallback=2000.0):
     return fallback
 
 
-def n_minus_search_before(h, eps, t_max=None):
+def n_minus_search_before(h, eps):
     """build_n_minus's profile, horizon and phase search as written inline."""
     offset = min(eps / 2.0, 0.5)
     phi = (math.pi - offset) / 4.0
     h_use = h if h is not None else phase_aligned_hbar(math.sin(phi) ** 2, math.cos(phi) ** 2)
-    if t_max is None:
-        t_max = alignment_horizon_before(h_use)
+    t_max = alignment_horizon_before(h_use)
     try:
         sol = find_phase_time(h_use, phi, eps=max(offset / 10.0, 1e-12), t_max=t_max)
     except PhaseAlignmentError as exc:
@@ -1059,15 +1056,14 @@ def n_minus_search_before(h, eps, t_max=None):
     return h_use, sol.t_star
 
 
-def n_plus_search_before(h, x, y, eps, t_max=None):
+def n_plus_search_before(h, x, y, eps):
     """build_n_plus's profile, horizon and phase search as written inline."""
     norm = math.hypot(abs(x), abs(y))
     x, y = complex(x) / norm, complex(y) / norm
     chi = math.acos(min(1.0, abs(x)))
     phi = math.pi / 4.0 - chi / 2.0
     h_use = h if h is not None else phase_aligned_hbar(math.sin(phi) ** 2, math.cos(phi) ** 2)
-    if t_max is None:
-        t_max = alignment_horizon_before(h_use)
+    t_max = alignment_horizon_before(h_use)
     try:
         sol = find_phase_time(h_use, phi, eps=max(eps / 10.0, 1e-12), t_max=t_max)
     except PhaseAlignmentError as exc:
@@ -1093,19 +1089,19 @@ def evolve_stage_or_error(build, *args):
     return payload
 
 
-@pytest.mark.parametrize("h, eps, t_max", [
-    (None, 1e-3, None),
-    (None, 0.3, None),
-    (phase_aligned_hbar(0.3, 0.7), 0.3, None),
-    (HbarFunction((0.3, -0.7, 1.1, 0.4)), 1.0, 50.0),
-    (HbarFunction((0.3, -0.7, 1.1, 0.4)), 0.3, None),
-    (HbarFunction((0.5, 1.5)), 0.6, None),
-    (HbarFunction((0.0, 0.0, 1.0)), 0.6, 50.0),
+# The ids keep the names these cases had when the search horizon was a
+# third parameter; None there meant the default horizon, the only one left.
+@pytest.mark.parametrize("h, eps", [
+    pytest.param(None, 1e-3, id="None-0.001-None"),
+    pytest.param(None, 0.3, id="None-0.3-None"),
+    pytest.param(phase_aligned_hbar(0.3, 0.7), 0.3, id="h2-0.3-None"),
+    pytest.param(HbarFunction((0.3, -0.7, 1.1, 0.4)), 0.3, id="h4-0.3-None"),
+    pytest.param(HbarFunction((0.5, 1.5)), 0.6, id="h5-0.6-None"),
 ])
-def test_sandwich_passes_search_as_their_inline_blocks_did(h, eps, t_max):
+def test_sandwich_passes_search_as_their_inline_blocks_did(h, eps):
     # a failed search names its best residual, which moves with the grid
     # step eps / 20, so the tolerance each pass passes on is observable
-    want = search_or_error(n_minus_search_before, h, eps, t_max)
-    assert evolve_stage_or_error(build_n_minus, h, eps, t_max) == want
-    want = search_or_error(n_plus_search_before, h, 0.6, 0.8j, eps, t_max)
-    assert evolve_stage_or_error(build_n_plus, h, 0.6, 0.8j, eps, t_max) == want
+    want = search_or_error(n_minus_search_before, h, eps)
+    assert evolve_stage_or_error(build_n_minus, h, eps) == want
+    want = search_or_error(n_plus_search_before, None, 0.6, 0.8j, eps)
+    assert evolve_stage_or_error(build_n_plus, 0.6, 0.8j, eps) == want

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nlqsim import weinberg
 from nlqsim.statevector import StateVector, apply_1q_unitary, make_rng, new_basis_state
 from nlqsim.weinberg import (
     HbarFunction,
@@ -298,6 +299,28 @@ def test_phase_time_validates_inputs():
     for t_max in (0.0, -1.0):
         with pytest.raises(ValueError, match="t_max must be positive"):
             find_phase_time(SQUARE, math.pi / 8, eps=1e-3, t_max=t_max)
+
+
+def test_phase_search_refuses_frequencies_that_overflow_before_any_residual(monkeypatch):
+    def no_residual(*args):
+        raise AssertionError("a residual was evaluated")
+
+    monkeypatch.setattr(weinberg, "_phase_residual", no_residual)
+    huge = HbarFunction((1e306, 1e306))
+    with pytest.raises(ValueError, match=r"^phase frequencies \(1e\+306, 2e\+306, 1e\+306, "
+                                         r"2e\+306\) overflow over the horizon t_max=2000$"):
+        find_phase_time(huge, math.pi / 8, eps=0.05)
+    with pytest.raises(ValueError, match=r"overflow over the horizon t_max=inf$"):
+        find_phase_time(SQUARE, math.pi / 8, eps=0.05, t_max=math.inf)
+
+
+def test_phase_search_takes_the_capped_grid_when_the_step_underflows(monkeypatch):
+    monkeypatch.setattr(weinberg, "GRID_POINT_CAP", 1000)
+    h = HbarFunction((1e297, 1e297))
+    # eps 1e-12: t_max / step overflows to inf; eps 5e-324: the step itself is 0
+    for eps in (1e-12, 5e-324):
+        with pytest.raises(PhaseAlignmentError, match="up to t_max=2000 "):
+            find_phase_time(h, math.pi / 8, eps=eps)
 
 
 def test_aligned_profile_frequencies():
