@@ -4,8 +4,9 @@ Outputs are deterministic for a fixed seed: reports are JSON documents
 with sorted keys and no timestamps (pass --timing to record wall time),
 tables are tab-separated with a one-line header.
 
-`solve` and `count` share one run frame, `cmd_run`, and every run default
-is the library's own field default (`StretchMap.lam`, `Alg1Config.seed`, ...).
+`solve` and `count` share one run frame, `cmd_run`.  `_RUNS` lists the flags
+each run reads with the library's own field defaults (`StretchMap.lam`, ...);
+a run accepts, checks and echoes exactly those.
 
 Exit codes: 0 ran and decided, 1 usage or input error as one `error:`
 line (argparse's errors and a ValueError from the library, such as a size
@@ -35,6 +36,7 @@ from .algorithms import (
 )
 from .gates import DEFAULT_GATE_EPS, StretchMap, SynthesisError, build_N
 from .oracle import DimacsError, OracleSpec, load_truth_table, parse_dimacs
+from .statevector import ARRAY_BUDGET_BYTES
 from .weinberg import HbarFunction, trajectory
 
 SCHEMA_VERSION = "1"
@@ -110,13 +112,6 @@ def _load_oracle(args) -> OracleSpec:
         raise CliError(f"{given[0]}: {exc}") from exc
 
 
-def _stretch_from(args) -> StretchMap:
-    try:
-        return StretchMap(theta0=args.theta0, eta=args.eta, lam=args.lam)
-    except (ValueError, OverflowError) as exc:  # exp(--lambda) may overflow
-        raise CliError(f"invalid stretch parameters: {exc}") from exc
-
-
 def _parse_hbar(text: str) -> HbarFunction:
     try:
         return HbarFunction(tuple(float(x) for x in text.split(",")))
@@ -124,66 +119,79 @@ def _parse_hbar(text: str) -> HbarFunction:
         raise CliError(f"invalid --hbar coefficients {text!r}: {exc}") from exc
 
 
-def _check_run_flags(args):
-    if args.max_applications < 0:
-        raise CliError(f"--max-applications must be >= 0, got {args.max_applications}")
-    if args.max_trials is not None and args.max_trials < 1:
-        raise CliError(f"--max-trials must be >= 1, got {args.max_trials}")
-    if args.noise_sigma < 0.0:
-        raise CliError(f"--noise-sigma must be >= 0, got {args.noise_sigma}")
-    if args.command == "solve" and args.algorithm == "alg1" and not 0.0 < args.threshold < 1.0:
-        raise CliError(f"--threshold must lie in (0, 1), got {args.threshold}")
+def _alg1_config(run: dict, oracle: OracleSpec, **extra) -> Alg1Config:
+    try:
+        stretch = StretchMap(theta0=run["theta0"], eta=run["eta"], lam=run["lam"])
+    except (ValueError, OverflowError) as exc:  # exp(--lambda) may overflow
+        raise CliError(f"invalid stretch parameters: {exc}") from exc
+    return Alg1Config(n=oracle.num_vars, oracle=oracle, stretch=stretch,
+                      max_applications=run["max_applications"], max_trials=run["max_trials"],
+                      noise_sigma=run["noise_sigma"], seed=run["seed"], **extra)
 
 
-# Parsed flags that say where the oracle comes from or where and how the
-# report is written; every other flag shapes the run and is echoed.
-_NOT_ECHOED = ("command", "func", "input", "truth_table", "out", "timing")
+def _alg2_config(run: dict, oracle: OracleSpec, **extra) -> Alg2Config:
+    return Alg2Config(n=oracle.num_vars, oracle=oracle, noise_sigma=run["noise_sigma"],
+                      seed=run["seed"], **extra)
 
 
-def _config_echo(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+# Flags a run reads, by dest, with their library defaults.  Every run reads
+# --seed and --noise-sigma: `algorithms._driver` builds every noise model from both.
+_SEEDED = {"seed": Alg1Config.seed, "noise_sigma": Alg1Config.noise_sigma}
+_ALG1 = {**_SEEDED, "lam": StretchMap.lam, "eta": StretchMap.eta, "theta0": StretchMap.theta0,
+         "max_applications": Alg1Config.max_applications, "max_trials": Alg1Config.max_trials}
 
-
-def _alg1_config(args, oracle: OracleSpec, **extra) -> Alg1Config:
-    return Alg1Config(
-        n=oracle.num_vars,
-        oracle=oracle,
-        stretch=_stretch_from(args),
-        max_applications=args.max_applications,
-        max_trials=args.max_trials,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-        **extra,
-    )
-
-
-def _alg2_config(args, oracle: OracleSpec, **extra) -> Alg2Config:
-    return Alg2Config(n=oracle.num_vars, oracle=oracle, noise_sigma=args.noise_sigma,
-                      seed=args.seed, **extra)
-
-
-# (command, --algorithm) -> (driver, its config from the flags, keys only
-# that command's report echoes).  The driver is named, not held, so that
-# a wrapped or patched cli.run_* is the one that runs.
+# (command, --algorithm) -> (driver, the flags it reads, its config from
+# them, keys only that command's report echoes).  A run accepts, checks and
+# echoes exactly the flags it reads.  The driver is named, not held, so
+# that a wrapped or patched cli.run_* is the one that runs.
 _RUNS = {
-    ("solve", "alg1"): ("run_algorithm1", lambda args, oracle: _alg1_config(
-        args, oracle, decision_threshold=args.threshold), {"gate_realization": None}),
-    ("solve", "alg2"): ("run_algorithm2", lambda args, oracle: _alg2_config(
-        args, oracle, gate=table_merge_gate(args.eps)), {"gate_realization": "table"}),
-    ("count", "alg1"): ("run_algorithm1_count", _alg1_config, {}),
-    ("count", "alg2"): ("run_algorithm2_count", lambda args, oracle: _alg2_config(
-        args, oracle, counting=True, counter_width=args.counter_width), {}),
+    ("solve", "alg1"): ("run_algorithm1", {**_ALG1, "threshold": Alg1Config.decision_threshold},
+                        lambda r, o: _alg1_config(r, o, decision_threshold=r["threshold"]),
+                        {"gate_realization": None}),
+    ("solve", "alg2"): ("run_algorithm2", {**_SEEDED, "eps": DEFAULT_GATE_EPS},
+                        lambda r, o: _alg2_config(r, o, gate=table_merge_gate(r["eps"])),
+                        {"gate_realization": "table"}),
+    ("count", "alg1"): ("run_algorithm1_count", _ALG1, _alg1_config, {}),
+    ("count", "alg2"): ("run_algorithm2_count",
+                        {**_SEEDED, "counter_width": Alg2Config.counter_width},
+                        lambda r, o: _alg2_config(r, o, counting=True,
+                                                  counter_width=r["counter_width"]), {}),
 }
+_RUN_FLAGS = {dest for _, reads, _, _ in _RUNS.values() for dest in reads}
+
+# Checks on run flags from the command line, each where a run reads its flag.
+_FLAG_RULES = {
+    "max_applications": ("--max-applications must be >= 0", lambda v: v >= 0),
+    "max_trials": ("--max-trials must be >= 1", lambda v: v is None or v >= 1),
+    "noise_sigma": ("--noise-sigma must be >= 0", lambda v: v >= 0.0),
+    "threshold": ("--threshold must lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+}
+
+
+def _read_flags(args, reads: dict) -> dict:
+    """The flags in reads at their given or default values, checked; run flags
+    parse to no default, so a given one the run does not read is refused."""
+    unread = ["--" + ("lambda" if dest == "lam" else dest.replace("_", "-"))
+              for dest in vars(args) if dest in _RUN_FLAGS and dest not in reads]
+    if unread:
+        raise CliError(f"{args.command} --algorithm {args.algorithm} does not read "
+                       + ", ".join(unread))
+    run = {dest: getattr(args, dest, default) for dest, default in reads.items()}
+    for dest, (rule, holds) in _FLAG_RULES.items():
+        if dest in run and not holds(run[dest]):
+            raise CliError(f"{rule}, got {run[dest]}")
+    return run
 
 
 def cmd_run(args) -> int:
     """solve and count: one algorithm run on the oracle, written as a report."""
+    driver, reads, config, extra_echo = _RUNS[args.command, args.algorithm]
+    run = _read_flags(args, reads)
     oracle = _load_oracle(args)
-    driver, config, extra_echo = _RUNS[args.command, args.algorithm]
     started = time.monotonic()
-    report = globals()[driver](config(args, oracle))
+    report = globals()[driver](config(run, oracle))
     wall = time.monotonic() - started if args.timing else None
-    echo = {**_config_echo(args), **extra_echo}
+    echo = {"algorithm": args.algorithm, **run, **extra_echo}
     _write_text(args.out, _report_document(args.command, echo, report.to_dict(), wall))
     return 0 if report.succeeded else 2
 
@@ -206,8 +214,10 @@ def cmd_dynamics(args) -> int:
         raise CliError(f"invalid time grid: --t-max must be nonnegative, got {args.t_max}")
     if args.dt <= 0.0:
         raise CliError(f"invalid time grid: --dt must be positive, got {args.dt}")
-    if args.points < 1:
-        raise CliError(f"invalid time grid: --points must be >= 1, got {args.points}")
+    max_points = ARRAY_BUDGET_BYTES // 48  # six float64 per table row
+    if not 1 <= args.points <= max_points:
+        raise CliError(f"invalid time grid: --points must lie in [1, {max_points}], "
+                       f"got {args.points}")
     c1 = complex(vals[0], vals[1])
     c2 = complex(vals[2], vals[3])
     times = np.linspace(0.0, args.t_max, args.points)
@@ -229,12 +239,13 @@ def cmd_ngate_verify(args) -> int:
         "eps": args.eps,
         "audit": gate.audit(),
     }
-    _write_text(args.out, _report_document("ngate-verify", _config_echo(args), payload, None))
+    config = {"eps": args.eps, "hbar": args.hbar}
+    _write_text(args.out, _report_document("ngate-verify", config, payload, None))
     return 0
 
 
 def cmd_separation(args) -> int:
-    report = run_algorithm1(_alg1_config(args, _load_oracle(args)))
+    report = run_algorithm1(_alg1_config(_read_flags(args, _ALG1), _load_oracle(args)))
     if not report.succeeded:
         # the flag amplitude is recorded once post-selection has succeeded
         budget = "trial" if report.post_measurement_flag_amplitude is None else "application"
@@ -279,8 +290,8 @@ def _add_oracle_flags(p):
 
 
 def _add_common_flags(p, timing: bool = True):
-    p.add_argument("--seed", type=int, default=Alg1Config.seed, help="random seed (default 0)")
-    p.add_argument("--noise-sigma", type=_finite_float, default=Alg1Config.noise_sigma,
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random seed (default 0)")
+    p.add_argument("--noise-sigma", type=_finite_float, default=argparse.SUPPRESS,
                    dest="noise_sigma",
                    help="gaussian jitter on gate parameters, radians (default 0)")
     p.add_argument("--out", help="output path (default stdout)")
@@ -290,15 +301,15 @@ def _add_common_flags(p, timing: bool = True):
 
 
 def _add_stretch_flags(p):
-    p.add_argument("--lambda", type=_finite_float, default=StretchMap.lam, dest="lam",
-                   help="stretch exponent per application (default ln 2)")
-    p.add_argument("--eta", type=_finite_float, default=StretchMap.eta,
-                   help="angular extent of the stretch region (default pi/4)")
-    p.add_argument("--theta0", type=_finite_float, default=StretchMap.theta0,
-                   help="center of the stretch region (default pi/2)")
-    p.add_argument("--max-applications", type=int, default=Alg1Config.max_applications,
+    p.add_argument("--lambda", type=_finite_float, default=argparse.SUPPRESS, dest="lam",
+                   help="stretch exponent per application (alg1, default ln 2)")
+    p.add_argument("--eta", type=_finite_float, default=argparse.SUPPRESS,
+                   help="angular extent of the stretch region (alg1, default pi/4)")
+    p.add_argument("--theta0", type=_finite_float, default=argparse.SUPPRESS,
+                   help="center of the stretch region (alg1, default pi/2)")
+    p.add_argument("--max-applications", type=int, default=argparse.SUPPRESS,
                    dest="max_applications")
-    p.add_argument("--max-trials", type=int, default=Alg1Config.max_trials, dest="max_trials")
+    p.add_argument("--max-trials", type=int, default=argparse.SUPPRESS, dest="max_trials")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide whether the oracle has any solution")
     _add_oracle_flags(p)
     p.add_argument("--algorithm", choices=("alg1", "alg2"), required=True)
-    p.add_argument("--eps", type=_finite_float, default=DEFAULT_GATE_EPS,
+    p.add_argument("--eps", type=_finite_float, default=argparse.SUPPRESS,
                    help=f"merge-gate tolerance for alg2 (default {DEFAULT_GATE_EPS})")
-    p.add_argument("--threshold", type=_finite_float, default=Alg1Config.decision_threshold,
+    p.add_argument("--threshold", type=_finite_float, default=argparse.SUPPRESS,
                    help="decision threshold as a fraction of pi for alg1 (default 0.5)")
     _add_stretch_flags(p)
     _add_common_flags(p)
@@ -322,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count the oracle's solutions exactly")
     _add_oracle_flags(p)
     p.add_argument("--algorithm", choices=("alg1", "alg2"), required=True)
-    p.add_argument("--counter-width", type=int, default=None, dest="counter_width",
+    p.add_argument("--counter-width", type=int, default=argparse.SUPPRESS, dest="counter_width",
                    help="counter register width (alg2, default n + 1)")
     _add_stretch_flags(p)
     _add_common_flags(p)
@@ -358,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if hasattr(args, "max_applications"):
-            _check_run_flags(args)
         return args.func(args)
     except (CliError, ValueError) as exc:  # usage, input or library size/limit errors
         sys.stderr.write(f"error: {exc}\n")

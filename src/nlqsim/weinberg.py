@@ -66,12 +66,6 @@ class HbarFunction:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def value(self, a):
-        return self.value_and_derivative(a)[0]
-
-    def derivative(self, a):
-        return self.value_and_derivative(a)[1]
-
     def value_and_derivative(self, a):
         """(hbar(a), hbar'(a)) by Horner, for a float or an array a (bitwise
         npoly.polyval on arrays); hbar' of a constant profile is exactly 0.0,
@@ -150,12 +144,15 @@ def omega12(h: HbarFunction, a):
 
 def evolve_closed_form(c1, c2, h: HbarFunction, t: float):
     """Phase evolution psi_k -> psi_k exp(-i w_k(a) t), a frozen at the input;
-    c1 and c2 are two amplitudes or two arrays of them (one pair per entry)."""
+    c1 and c2 are two amplitudes or two arrays of them (one pair per entry).
+    Phases w_k t that are not finite (an overflowed frequency) raise ValueError."""
     n = abs(c1) ** 2 + abs(c2) ** 2
     if not np.all((n > 0.0) & (n < math.inf)):
         raise ValueError("zero-norm pair cannot be evolved")
     a = abs(c2) ** 2 / n
     w1, w2 = omega12(h, a)
+    if not np.isfinite((w1 * t, w2 * t)).all():
+        raise ValueError(f"the phase frequencies overflow at t = {t:g}")
     return c1 * np.exp(-1j * w1 * t), c2 * np.exp(-1j * w2 * t)
 
 
@@ -172,7 +169,8 @@ def evolve_integrated(c1: complex, c2: complex, h: HbarFunction, t: float, dt: f
     operation order of complex arithmetic (a real factor times a complex
     number is exact per part), so the result is bitwise that of the
     complex form; only a part given as -0.0 may come out as a zero of the
-    other sign.  A step that overflows raises ValueError.
+    other sign.  A step that overflows, or a result that is not finite,
+    raises ValueError.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -285,9 +283,11 @@ def evolve_integrated(c1: complex, c2: complex, h: HbarFunction, t: float, dt: f
                 q = q + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
                 r = r + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
                 s = s + h6 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-    except OverflowError as exc:
+    except OverflowError:
+        p = math.nan
+    if not all(map(math.isfinite, (p, q, r, s))):  # inf - inf raises nothing
         raise ValueError(f"the RK4 step overflowed: dt = {dt:g} is too large "
-                         "for this profile and state") from exc
+                         "for this profile and state")
     return complex(p, q), complex(r, s)
 
 

@@ -9,10 +9,12 @@ from dataclasses import replace
 import pytest
 
 from nlqsim import algorithms, cli
-from nlqsim.algorithms import Alg1Config, RunReport, run_algorithm1, run_algorithm1_count
+from nlqsim.algorithms import (Alg1Config, Alg2Config, RunReport, run_algorithm1,
+                               run_algorithm1_count)
 from nlqsim.cli import build_parser, main
-from nlqsim.gates import StretchMap
+from nlqsim.gates import DEFAULT_GATE_EPS, StretchMap
 from nlqsim.oracle import OracleSpec, load_truth_table
+from nlqsim.statevector import ARRAY_BUDGET_BYTES
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -123,6 +125,31 @@ def test_dynamics_invalid_grid_exits_1(capsys):
     code, _, err = run_cli(capsys, "dynamics", "--points", "0")
     assert code == 1
     assert "grid" in err
+
+
+def test_dynamics_points_are_capped_by_the_array_budget(capsys):
+    cap = ARRAY_BUDGET_BYTES // (6 * 8)  # six float64 per table row
+    assert cap == 349525
+    started = time.monotonic()
+    for points in (cap + 1, 10**13):  # 10**13 ran into an ArrayMemoryError
+        code, out, err = run_cli(capsys, "dynamics", "--points", str(points))
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid time grid: --points must lie in [1, {cap}], got {points}\n"
+    assert time.monotonic() - started < 0.5
+
+
+@pytest.mark.parametrize("argv, err", [
+    # w2 = inf at t = 0 printed nan for c2
+    (["--hbar=1e308,1e308", "--t-max", "0", "--points", "1"],
+     "error: the phase frequencies overflow at t = 0\n"),
+    # inf - inf in an RK4 step printed a nan residual
+    (["--hbar=0,1e308", "--t-max", "1e-300", "--dt", "1e-300", "--points", "2"],
+     "error: the RK4 step overflowed: dt = 1e-300 is too large for this profile and state\n"),
+], ids=["inf-frequency-at-t0", "inf-minus-inf-in-rk4"])
+def test_dynamics_refuses_evolutions_that_are_not_finite(capsys, argv, err):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "dynamics", *argv) == (1, "", err)
 
 
 def test_ngate_verify_default(capsys, tmp_path):
@@ -414,21 +441,25 @@ def test_truth_tables_of_the_wrong_types_are_one_line_errors(capsys, tmp_path):
 
 
 def test_run_flag_defaults_are_the_library_defaults():
-    for argv in (["solve", "--algorithm", "alg1"], ["count", "--algorithm", "alg1"], ["separation"]):
-        args = build_parser().parse_args(argv)
-        assert (args.lam, args.eta, args.theta0) == (StretchMap.lam, StretchMap.eta,
-                                                     StretchMap.theta0)
-        for flag in ("max_applications", "max_trials", "noise_sigma", "seed"):
-            assert getattr(args, flag) == getattr(Alg1Config, flag)
-    solve = build_parser().parse_args(["solve", "--algorithm", "alg1"])
-    assert solve.threshold == Alg1Config.decision_threshold
+    alg1 = {"lam": StretchMap.lam, "eta": StretchMap.eta, "theta0": StretchMap.theta0,
+            "max_applications": Alg1Config.max_applications, "max_trials": Alg1Config.max_trials,
+            "noise_sigma": Alg1Config.noise_sigma, "seed": Alg1Config.seed}
+    alg2 = {"noise_sigma": Alg2Config.noise_sigma, "seed": Alg2Config.seed}
+    reads = {run: entry[1] for run, entry in cli._RUNS.items()}
+    assert reads == {
+        ("solve", "alg1"): {**alg1, "threshold": Alg1Config.decision_threshold},
+        ("solve", "alg2"): {**alg2, "eps": DEFAULT_GATE_EPS},
+        ("count", "alg1"): alg1,
+        ("count", "alg2"): {**alg2, "counter_width": Alg2Config.counter_width},
+    }
+    assert cli._ALG1 == alg1  # separation reads every alg1 flag
 
 
 def test_every_solve_and_count_algorithm_has_one_run():
     for command in ("solve", "count"):
         algorithm = next(a for a in _subcommand_parser(command)._actions if a.dest == "algorithm")
         for choice in algorithm.choices:
-            driver, _, _ = cli._RUNS[command, choice]
+            driver, _, _, _ = cli._RUNS[command, choice]
             assert vars(cli)[driver] is vars(algorithms)[driver]
     assert len(cli._RUNS) == 4
 
@@ -451,34 +482,101 @@ def _subcommand_parser(command):
     return sub.choices[command]
 
 
-@pytest.mark.parametrize("command, argv", [
-    ("solve", ["--algorithm", "alg2", "--truth-table", fx("one_solution.json")]),
-    ("count", ["--algorithm", "alg2", "--truth-table", fx("one_solution.json")]),
-    ("ngate-verify", ["--eps", "1e-3"]),
-])
-def test_reports_echo_every_config_flag_of_their_parser(capsys, command, argv):
-    # every flag the subcommand parses shapes the run, except where the
-    # oracle comes from and where and how the report is written
-    not_config = {"help", "input", "truth_table", "out", "timing"}
-    flags = {a.dest for a in _subcommand_parser(command)._actions} - not_config
-    code, out, _ = run_cli(capsys, command, *argv)
-    assert code == 0
+# A value off its default for every run flag, by dest.
+RUN_FLAG_VALUES = {"seed": ("--seed", "3"), "noise_sigma": ("--noise-sigma", "1e-4"),
+                   "lam": ("--lambda", "0.8"), "eta": ("--eta", "0.7"),
+                   "theta0": ("--theta0", "1.4"), "max_applications": ("--max-applications", "50"),
+                   "max_trials": ("--max-trials", "7"), "threshold": ("--threshold", "0.3"),
+                   "eps": ("--eps", "1e-3"), "counter_width": ("--counter-width", "3")}
+RUNS = [("solve", "alg1"), ("solve", "alg2"), ("count", "alg1"), ("count", "alg2")]
+
+
+@pytest.mark.parametrize("given", ["none", "all"])
+@pytest.mark.parametrize("command, algorithm", RUNS)
+def test_reports_echo_exactly_the_flags_their_run_reads(capsys, command, algorithm, given):
+    reads = cli._RUNS[command, algorithm][1]
+    argv = [command, "--algorithm", algorithm]
+    if given == "all":
+        argv += [x for dest in reads for x in RUN_FLAG_VALUES[dest]]
+    code, out, _ = run_cli(capsys, *argv, "--truth-table", fx("one_solution.json"))
+    assert code in (0, 2)  # a budget run out still writes its report
     config = json.loads(out)["config"]
     extra = {"gate_realization"} if command == "solve" else set()
-    assert set(config) == flags | extra
-    args = build_parser().parse_args([command, *argv])
-    assert {k: config[k] for k in flags} == {k: getattr(args, k) for k in flags}
+    assert set(config) == {"algorithm"} | set(reads) | extra
+    parsed = vars(build_parser().parse_args(argv))
+    assert config["algorithm"] == algorithm
+    assert {k: config[k] for k in reads} == {k: parsed.get(k, reads[k]) for k in reads}
+    if given == "all":
+        assert all(config[k] != v for k, v in reads.items())
+
+
+@pytest.mark.parametrize("argv, config", [
+    ([], {"eps": 1e-3, "hbar": None}),
+    (["--eps", "1e-3"], {"eps": 1e-3, "hbar": None}),
+    (["--eps", "1e-6"], {"eps": 1e-6, "hbar": None}),
+], ids=["default", "eps-1e-3", "eps-1e-6"])
+def test_ngate_verify_echoes_its_two_flags(capsys, argv, config):
+    code, out, _ = run_cli(capsys, "ngate-verify", *argv)
+    assert code == 0
+    assert json.loads(out)["config"] == config
+
+
+# The flags each solve and count run does not read.
+UNREAD = {("solve", "alg1"): ["--eps"],
+          ("solve", "alg2"): ["--threshold", "--lambda", "--eta", "--theta0", "--max-applications",
+                              "--max-trials"],
+          ("count", "alg1"): ["--counter-width"],
+          ("count", "alg2"): ["--lambda", "--eta", "--theta0", "--max-applications",
+                              "--max-trials"]}
+FLAG_VALUES = {flag: value for flag, value in RUN_FLAG_VALUES.values()}
+
+
+@pytest.mark.parametrize("command, algorithm, flag, value", [
+    *[(*run, flag, FLAG_VALUES[flag]) for run, flags in UNREAD.items() for flag in flags],
+    # given at its library default is still given
+    ("solve", "alg1", "--eps", "1e-6"),
+    ("count", "alg2", "--max-applications", "96"),
+])
+def test_a_run_refuses_a_flag_it_does_not_read(capsys, tmp_path, command, algorithm, flag, value):
+    out_path = tmp_path / "report.json"
+    # the oracle file does not exist: the refusal comes before it is read
+    code, out, err = run_cli(capsys, command, "--algorithm", algorithm, flag, value,
+                             "--truth-table", str(tmp_path / "missing.json"),
+                             "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {command} --algorithm {algorithm} does not read {flag}\n"
+    assert not out_path.exists()
+
+
+def test_a_run_reads_every_run_flag_of_its_command_but_the_unread_ones():
+    # 34 (run, flag) pairs parse; 13 are refused, 21 read
+    reads = {run: entry[1] for run, entry in cli._RUNS.items()}
+    assert sum(map(len, UNREAD.values())) == 13 and sum(map(len, reads.values())) == 21
+    for (command, algorithm), unread in UNREAD.items():
+        parsed = {a.dest: a.option_strings[0] for a in _subcommand_parser(command)._actions
+                  if a.dest in RUN_FLAG_VALUES}
+        assert set(reads[command, algorithm]) <= set(parsed)
+        assert sorted(unread) == sorted(flag for dest, flag in parsed.items()
+                                        if dest not in reads[command, algorithm])
 
 
 def test_reports_echo_budgets_and_gate_realization(capsys):
+    budgets = ["--max-applications", "50", "--max-trials", "7"]
     for command, algorithm, gate in [("solve", "alg1", None), ("solve", "alg2", "table"),
                                      ("count", "alg1", None), ("count", "alg2", None)]:
-        code, out, _ = run_cli(capsys, command, "--algorithm", algorithm,
-                               "--truth-table", fx("one_solution.json"),
-                               "--max-applications", "50", "--max-trials", "7")
+        argv = [command, "--algorithm", algorithm, "--truth-table", fx("one_solution.json")]
+        if algorithm == "alg1":
+            argv += budgets
+        else:  # alg2 has no stretch budgets
+            code, out, err = run_cli(capsys, *argv, *budgets)
+            assert (code, out) == (1, "")
+            assert err == (f"error: {command} --algorithm alg2 does not read "
+                           "--max-applications, --max-trials\n")
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         config = json.loads(out)["config"]
-        assert config["max_applications"] == 50 and config["max_trials"] == 7
+        if algorithm == "alg1":
+            assert config["max_applications"] == 50 and config["max_trials"] == 7
         assert ("gate_realization" in config) == (command == "solve")
         assert config.get("gate_realization") == gate
 

@@ -3,7 +3,9 @@
 The files in tests/golden/ were written by the reference commit that
 preceded the strided kernel layer; the config objects of the solve and
 count reports were later extended by the budget and gate-realization
-echo, with every recorded value kept.  A run must reproduce them
+echo, and then cut to `algorithm`, the flags each run reads and
+`gate_realization`, with every kept value and every report field
+unchanged.  A run must reproduce them
 structurally: exit code and stderr exactly, every non-float field of a
 JSON report or table exactly, and every float within 1e-8 relative.
 Every float in these outputs is an O(1) quantity (an amplitude, angle,

@@ -525,8 +525,6 @@ def test_profile_evaluator_equals_numpy_polynomials_bitwise():
         a = rng.uniform(0.0, 1.0, size=64)
         got, want = h.value_and_derivative(a), reference_value_and_derivative(h, a)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-        assert h.value(a).tobytes() == got[0].tobytes()
-        assert h.derivative(a).tobytes() == got[1].tobytes()
         for i in range(3):  # the float path, as the integrator calls it
             assert h.value_and_derivative(float(a[i])) == (got[0][i], got[1][i])
 
@@ -537,7 +535,7 @@ def test_constant_profile_evaluates_to_arrays_on_arrays():
     value, slope = h.value_and_derivative(a)
     assert value.shape == slope.shape == a.shape
     assert np.all(value == 1.5) and not np.any(slope)
-    assert h.derivative(0.3) == 0.0 and h.value(0.3) == 1.5
+    assert h.value_and_derivative(0.3) == (1.5, 0.0)
 
 
 @pytest.mark.parametrize("c1, c2", [(0.0, 0.6 + 0.8j), (0.6 - 0.8j, 0.0), (0.0j, 1.0), (0.8, 0.6j)])

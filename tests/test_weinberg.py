@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ SQUARE = HbarFunction((0.0, 0.0, 1.0))  # hbar(a) = a^2
 def hamiltonian_value(h, c1, c2):
     """h(psi, psi*) = n * hbar(a) for the pair (c1, c2)."""
     n = abs(c1) ** 2 + abs(c2) ** 2
-    return n * h.value(abs(c2) ** 2 / n)
+    return n * h.value_and_derivative(abs(c2) ** 2 / n)[0]
 
 
 def homogeneity_check(h, c1, c2, scale, hamiltonian=None):
@@ -39,7 +40,7 @@ def homogeneity_check(h, c1, c2, scale, hamiltonian=None):
 
 
 def finite_difference(h, a, step=1e-6):
-    return (h.value(a + step) - h.value(a - step)) / (2 * step)
+    return (h.value_and_derivative(a + step)[0] - h.value_and_derivative(a - step)[0]) / (2 * step)
 
 
 def random_pair(rng):
@@ -60,14 +61,16 @@ def test_omega12_linear_profile():
 def test_omega12_at_zero_is_value_and_slope():
     h = HbarFunction((0.4, -1.2, 0.3))
     w1, w2 = omega12(h, 0.0)
-    assert w1 == pytest.approx(h.value(0.0))
-    assert w2 == pytest.approx(h.value(0.0) + h.derivative(0.0))
+    value, slope = h.value_and_derivative(0.0)
+    assert w1 == pytest.approx(value)
+    assert w2 == pytest.approx(value + slope)
 
 
 def test_omega12_square_profile_against_finite_differences():
     for a in (0.1, 0.42, 0.9):
         # independent derivative check first, then the frequency formulas
-        assert SQUARE.derivative(a) == pytest.approx(finite_difference(SQUARE, a), abs=1e-8)
+        assert SQUARE.value_and_derivative(a)[1] == pytest.approx(finite_difference(SQUARE, a),
+                                                                 abs=1e-8)
         w1, w2 = omega12(SQUARE, a)
         assert w1 == pytest.approx(-a * a, abs=1e-12)
         assert w2 == pytest.approx(2 * a - a * a, abs=1e-12)
@@ -82,7 +85,7 @@ def test_evolve_closed_form_identity_at_t0():
 def test_evolve_closed_form_pole_state_is_phase_only():
     h = HbarFunction((0.7, -0.2, 1.1))
     c1, c2 = evolve_closed_form(1.0, 0.0, h, 2.5)
-    assert c1 == pytest.approx(cmath.exp(-1j * h.value(0.0) * 2.5))
+    assert c1 == pytest.approx(cmath.exp(-1j * h.value_and_derivative(0.0)[0] * 2.5))
     assert c2 == 0.0
 
 
@@ -164,6 +167,21 @@ def test_integrator_overflow_is_a_value_error():
         evolve_integrated(0.6, 0.8, HbarFunction((1e10,)), 1.0, 1e-3)
 
 
+def test_integrator_refuses_a_result_that_is_not_finite():
+    # w2 = 1e308 makes one step inf - inf, which raises nothing in Python
+    with pytest.raises(ValueError, match="^the RK4 step overflowed: dt = 1e-300 is too large"):
+        evolve_integrated(0.7071, 0.7071, HbarFunction((0.0, 1e308)), 1e-300, 1e-300)
+
+
+@pytest.mark.parametrize("h, t, at", [
+    (HbarFunction((1e308, 1e308)), 0.0, "0"),  # w2 = inf, and inf * 0 is nan
+    (HbarFunction((1e300,)), 1e10, "1e+10"),  # w finite, w t is not
+])
+def test_closed_form_refuses_phases_that_are_not_finite(h, t, at):
+    with pytest.raises(ValueError, match=rf"^the phase frequencies overflow at t = {re.escape(at)}$"):
+        evolve_closed_form(0.7071, 0.7071, h, t)
+
+
 def test_homogeneity_examples():
     rng = make_rng(3)
     c1, c2 = random_pair(rng)
@@ -172,7 +190,7 @@ def test_homogeneity_examples():
     # corrupted hamiltonian n^2 * hbar(a) breaks degree-one homogeneity
     def corrupted(a, b):
         n = abs(a) ** 2 + abs(b) ** 2
-        return n * n * SQUARE.value(abs(b) ** 2 / n)
+        return n * n * SQUARE.value_and_derivative(abs(b) ** 2 / n)[0]
     assert homogeneity_check(SQUARE, c1, c2, 2.0, hamiltonian=corrupted) > 1e-3
 
 
@@ -333,7 +351,8 @@ def test_aligned_profile_frequencies():
     # the factored evaluation matches the expanded coefficients
     plain = HbarFunction(h.coefficients)
     for a in np.linspace(0, 1, 7):
-        assert h.value(a) == pytest.approx(plain.value(a), abs=1e-12)
+        assert h.value_and_derivative(a)[0] == pytest.approx(plain.value_and_derivative(a)[0],
+                                                             abs=1e-12)
 
 
 def test_closed_form_on_arrays_is_the_closed_form_of_each_pair():
