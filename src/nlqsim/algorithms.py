@@ -8,10 +8,13 @@ Flag-amplification route (`run_algorithm1`): undoing the input-register
 rotations concentrates amplitude on the all-zeros input pattern; after a
 successful measurement of that pattern the flag qubit holds
 (N - s)|0> + s|1> up to normalization, with N = 2**n and s the solution
-count.  The empty-oracle hypothesis is rotated onto the lower edge of the
-stretch map's active region; each application of the map doubles the
-offset of the true state from that classically tracked reference (the
-reference is re-centered by a rigid rotation after every application).
+count.  That flag is real, every rotation it takes is real and the stretch
+keeps component signs, so the drivers carry it as one signed meridian
+angle phi in [-pi, pi].  The empty-oracle hypothesis is rotated onto the
+lower edge of the stretch map's active region; each application of the
+map doubles the offset of the true state from that classically tracked
+reference (the reference is re-centered by a rigid rotation, a shift of
+phi, after every application).
 Once the offset clears the region center, further applications let the
 unstable fixed point push the two hypotheses to opposite poles, where a
 single flag measurement decides.  The counting variant binary-searches s
@@ -25,9 +28,11 @@ components per iteration; after n iterations the flag is disentangled and
 carries the decision.  With an exact gate (`CompositeNGate.exact`), a
 swept qubit left in |+> takes no further part, so the register drops it
 (after checking its residue) and sweep k touches 2**(n-k+1) amplitudes
-instead of 2**(n+1).  The counting variant replaces the flag by one integer counter label per
-branch and the merge gate by an exact branch-table map that adds the two
-labels of every pair; each of its sweeps halves the branches.
+instead of 2**(n+1).  The counting variant replaces the flag by one
+integer counter label per branch and the merge gate by an exact
+branch-table map that adds the two labels of every pair; each of its
+sweeps halves the branches, and as no amplitude changes it carries the
+labels alone.
 
 Run frame: the four drivers share one frame (`_driver`) that checks the
 config against the oracle and the array budget, seeds the rng and noise
@@ -52,16 +57,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .gates import (
-    DEFAULT_GATE_EPS,
-    BlochAngle,
-    CompositeNGate,
-    StretchMap,
-    bloch_distance,
-    ideal_merge_gate,
-    rotation,
-    state_bloch,
-)
+from .gates import DEFAULT_GATE_EPS, CompositeNGate, StretchMap, ideal_merge_gate
 from .oracle import OracleSpec, apply_oracle, count_solutions_bruteforce
 from .statevector import (
     StateVector,
@@ -74,7 +70,6 @@ from .statevector import (
     new_basis_state,
     probability_of_pattern,
 )
-from .weinberg import lift_pairs
 
 RESOLVE_MARGIN = 1e-3  # polar distance from a pole considered resolved
 # A swept index qubit leaves the register only if its residue 1 - <+|rho|+>
@@ -161,11 +156,12 @@ class Alg2Config:
     seed: int = 0
 
 
-def _driver(kind: str, extra_qubits: int):
+def _driver(kind: str, extra_qubits: int, itemsize: int = 16):
     """Turn `body(cfg, noise, report)` into the driver `run(cfg) -> RunReport`.
 
-    `run` checks cfg.n against the oracle and a register of n +
-    extra_qubits qubits against the array budget, then hands the body
+    `run` checks cfg.n against the oracle and its largest array, 2**(n +
+    extra_qubits) items of itemsize bytes (by default a complex128
+    register), against the array budget, then hands the body
     the seeded noise model and an empty report to fill.  Whenever the
     body returns, `run` sets oracle_calls from the oracle's counter.
     """
@@ -175,7 +171,7 @@ def _driver(kind: str, extra_qubits: int):
             if cfg.n != cfg.oracle.num_vars:
                 raise ValueError(
                     f"config n={cfg.n} does not match oracle ({cfg.oracle.num_vars} vars)")
-            check_array_size(f"{kind} runs are", cfg.n, extra_bits=extra_qubits)
+            check_array_size(f"{kind} runs are", cfg.n, itemsize, extra_qubits)
             report = RunReport()
             calls_before = cfg.oracle.call_counter
             body(cfg, NoiseModel(cfg.noise_sigma, make_rng(cfg.seed)), report)
@@ -191,30 +187,34 @@ def flag_theta(n: int, s: int) -> float:
     return 2.0 * math.atan2(s, (1 << n) - s)
 
 
-def _rotate_pair(pair, bloch_delta: float, noise: NoiseModel):
-    """Rigid rotation moving polar angles up by bloch_delta along the meridian."""
-    r = rotation(-noise.perturb(bloch_delta / 2.0))
-    c1, c2 = pair
-    return (r[0, 0] * c1 + r[0, 1] * c2, r[1, 0] * c1 + r[1, 1] * c2)
+def _recenter(phi: float, bloch_delta: float, noise: NoiseModel) -> float:
+    """Rigid rotation moving phi up by bloch_delta along the meridian, into [-pi, pi]."""
+    return math.remainder(phi + 2.0 * noise.perturb(bloch_delta / 2.0), math.tau)
 
 
-def _stretch_pair(pair, m: StretchMap):
-    """Stretch-map application through the preferred-basis prescription."""
-    row = lift_pairs(np.array([pair], dtype=np.complex128), m)[0]
-    return complex(row[0]), complex(row[1])
+def _stretch_pair(phi: float, m: StretchMap) -> float:
+    """Stretch-map application through the preferred-basis prescription: the
+    real pair (cos(phi/2), sin(phi/2)) keeps its component signs, so phi keeps its side."""
+    return math.copysign(m.polar_map(abs(phi)), phi)
 
 
-def _read_flag(pair, rng) -> int:
-    """Measure the flag qubit in the state pair; returns the outcome bit."""
-    record, _ = measure_qubits(StateVector(1, np.array(pair)), [0], rng)
-    return record.outcome_bits
+def _separation(phi: float, ref: float) -> float:
+    """Great-circle angle between the state phi and the reference polar angle."""
+    return abs(math.remainder(phi - ref, math.tau))
+
+
+def _read_flag(phi: float, rng) -> int:
+    """Measure the flag of the state phi with the one uniform draw of a Born-rule
+    sample: the outcome bit is 1 unless the draw is below P(0) = cos^2(phi/2)."""
+    return int(rng.random() >= math.cos(phi / 2.0) ** 2)
 
 
 def _prepare_flag_state(n: int, oracle: OracleSpec, rng, max_trials: int):
     """Steps 1-3: superpose, query once, undo, and post-select on zeros.
 
-    Returns (pair, trials_used), with pair None when the trial budget runs
-    out.  Every trial re-calls the oracle.
+    Returns (phi, trials_used): phi is the signed meridian angle of the
+    real post-selected flag pair (c0, c1), 2 atan2(c1, c0), or None when
+    the trial budget runs out.  Every trial re-calls the oracle.
     """
     trials = 0
     while trials < max_trials:
@@ -225,7 +225,7 @@ def _prepare_flag_state(n: int, oracle: OracleSpec, rng, max_trials: int):
         record, state = measure_qubits(state, range(n), rng)
         if record.outcome_bits == 0:
             _, c0, c1 = conditional_qubit_state(state, n, 0)
-            return (c0, c1), trials
+            return 2.0 * math.atan2(c1.real, c0.real), trials
     return None, trials
 
 
@@ -233,17 +233,17 @@ def _prepare_flag_state(n: int, oracle: OracleSpec, rng, max_trials: int):
 def run_algorithm1(cfg: Alg1Config, noise: NoiseModel, report: RunReport):
     """Decide s = 0 versus s > 0 with the stretch-map amplification."""
     m = cfg.stretch
-    pair, report.trials_used = _prepare_flag_state(
+    phi, report.trials_used = _prepare_flag_state(
         cfg.n, cfg.oracle, noise.rng, cfg.trial_budget())
-    if pair is None:
+    if phi is None:
         report.notes.append("trial budget exhausted before the zero pattern was seen")
         return
     if report.trials_used > 1:
         report.notes.append("oracle re-called on failed trials")
-    report.post_measurement_flag_amplitude = float(abs(pair[1]))
+    report.post_measurement_flag_amplitude = abs(math.sin(phi / 2.0))
 
     theta_edge = m.theta0 - m.eta / 2.0
-    pair = _rotate_pair(pair, theta_edge, noise)
+    phi = _recenter(phi, theta_edge, noise)
     ref = theta_edge  # classical trajectory of the empty-oracle hypothesis
     threshold = cfg.decision_threshold * math.pi
     # enough doublings to carry even a single-solution offset past the center
@@ -254,36 +254,33 @@ def run_algorithm1(cfg: Alg1Config, noise: NoiseModel, report: RunReport):
     crossed_at = None
     while True:  # amplification: stretch + re-center the reference
         apps = report.applications_used
-        theta_act = state_bloch(*pair).theta
-        traj.append((apps, bloch_distance(state_bloch(*pair), BlochAngle(ref, 0.0))))
-        if crossed_at is None and theta_act > threshold:
+        traj.append((apps, _separation(phi, ref)))
+        if crossed_at is None and abs(phi) > threshold:
             report.applications_to_threshold = crossed_at = apps
-        if crossed_at is not None and theta_act >= m.theta0 + m.eta / 4.0:
+        if crossed_at is not None and abs(phi) >= m.theta0 + m.eta / 4.0:
             break
         if crossed_at is None and apps >= amplify_cap:
             break
         if apps >= cfg.max_applications:
             break
-        pair = _stretch_pair(pair, m.jittered(noise))
-        pair = _rotate_pair(pair, ref - m.polar_map(ref), noise)
+        phi = _stretch_pair(phi, m.jittered(noise))
+        phi = _recenter(phi, ref - m.polar_map(ref), noise)
         report.applications_used += 1
 
     while True:  # resolution: the unstable center splits the poles
-        theta_act = state_bloch(*pair).theta
         resolved = ref <= RESOLVE_MARGIN and (
-            crossed_at is None or theta_act >= math.pi - RESOLVE_MARGIN)
+            crossed_at is None or abs(phi) >= math.pi - RESOLVE_MARGIN)
         if resolved or report.applications_used >= cfg.max_applications:
             break
-        pair = _stretch_pair(pair, m.jittered(noise))
+        phi = _stretch_pair(phi, m.jittered(noise))
         ref = float(m.polar_map(ref))
         report.applications_used += 1
-        traj.append((report.applications_used,
-                     bloch_distance(state_bloch(*pair), BlochAngle(ref, 0.0))))
+        traj.append((report.applications_used, _separation(phi, ref)))
 
     if not resolved:  # an unresolved flag would decide by chance: no decision
         report.notes.append("application budget exhausted before full resolution")
         return
-    report.decision = "solution-exists" if _read_flag(pair, noise.rng) == 1 else "no-solution"
+    report.decision = "solution-exists" if _read_flag(phi, noise.rng) == 1 else "no-solution"
     report.succeeded = True
 
 
@@ -303,28 +300,28 @@ def run_algorithm1_count(cfg: Alg1Config, noise: NoiseModel, report: RunReport):
     while lo < hi:
         rounds += 1
         mid = (lo + hi) // 2
-        pair, trials = _prepare_flag_state(cfg.n, cfg.oracle, noise.rng, cfg.trial_budget())
+        phi, trials = _prepare_flag_state(cfg.n, cfg.oracle, noise.rng, cfg.trial_budget())
         report.trials_used += trials
-        if pair is None:
+        if phi is None:
             report.notes.append(f"trial budget exhausted in round {rounds}")
             return
         th_lo = flag_theta(cfg.n, mid)
         th_hi = flag_theta(cfg.n, mid + 1)
         delta = m.theta0 - 0.5 * (th_lo + th_hi)
-        pair = _rotate_pair(pair, delta, noise)
+        phi = _recenter(phi, delta, noise)
         ref_lo, ref_hi = th_lo + delta, th_hi + delta
         apps = 0
         while not (ref_lo <= RESOLVE_MARGIN and ref_hi >= math.pi - RESOLVE_MARGIN):
             if apps >= cfg.max_applications:
                 report.notes.append(f"application budget exhausted in round {rounds}")
                 return
-            pair = _stretch_pair(pair, m.jittered(noise))
+            phi = _stretch_pair(phi, m.jittered(noise))
             ref_lo = float(m.polar_map(ref_lo))
             ref_hi = float(m.polar_map(ref_hi))
             apps += 1
             report.applications_used += 1
             traj.append((report.applications_used, ref_hi - ref_lo))
-        if _read_flag(pair, noise.rng) == 1:
+        if _read_flag(phi, noise.rng) == 1:
             lo = mid + 1
         else:
             hi = mid
@@ -423,11 +420,11 @@ class CounterOverflowError(Exception):
     """A pair merge produced a count the counter register cannot hold."""
 
 
-def _merge_counters(labels: np.ndarray, width: int) -> np.ndarray:
+def _merge_counters(labels: np.ndarray, width: int, dtype) -> np.ndarray:
     """Branch table (|0,c0> + |1,c1>)/sqrt(2) -> (|0,c0+c1> + |1,c0+c1>)/sqrt(2)
     on counter labels: labels is the (2, m) pair of halves c0, c1, and the m
-    sums come back; a sum above the width-qubit counter is an overflow."""
-    csum = labels[0] + labels[1]
+    sums come back in dtype; a sum above the width-qubit counter is an overflow."""
+    csum = np.add(labels[0], labels[1], dtype=dtype)
     if int(csum.max()) >= (1 << width):
         raise CounterOverflowError(
             f"count {int(csum.max())} does not fit in {width} counter qubits"
@@ -435,37 +432,31 @@ def _merge_counters(labels: np.ndarray, width: int) -> np.ndarray:
     return csum
 
 
-@_driver("counting cascade", 0)
+@_driver("counting cascade", 0, itemsize=1)
 def run_algorithm2_count(cfg: Alg2Config, noise: NoiseModel, report: RunReport):
     """Exact solution count via the merge cascade on labelled branches.
 
-    Branch i carries an amplitude and its counter value as an integer
-    label, which the one coherent query (`OracleSpec.query`) sets to f(i).
-    Sweep k merges the branch pairs that differ in index bit k, adding
-    their labels, and drops that qubit, which the merge leaves in |+>:
-    2**(n-k) amplitudes and labels remain, and the last branch holds the
-    count.  A pair whose amplitudes differ stops the run with a note
-    instead of being merged.  The noise model draws nothing: the cascade
+    Branch i carries its counter value as an integer label, which the one
+    coherent query (`OracleSpec.query`) sets to f(i).  Sweep k adds the
+    labels of the branch pairs that differ in index bit k and leaves that
+    qubit in |+>, so no amplitude changes and none is simulated: 2**(n-k-1)
+    labels remain, in the narrowest unsigned type that holds 2**(k+1), and
+    the last one is the count.  The noise model draws nothing: the cascade
     has no angles.
     """
     width = cfg.counter_width if cfg.counter_width is not None else cfg.n + 1
     if width < 1:
         raise ValueError("counter_width must be >= 1")
 
-    amps = apply_hadamard_layer(new_basis_state(cfg.n, 0), range(cfg.n)).amplitudes
-    labels = cfg.oracle.query().astype(np.int64)
+    labels = cfg.oracle.query()
     report.trials_used = 1
     for k in range(cfg.n):
-        amps, residue = _drop_plus_qubit(amps, 0)
-        if amps is None:
-            report.notes.append(f"index qubit {k} left |+> by residue {residue:.3g}")
-            return
         try:
-            labels = _merge_counters(labels.reshape(2, -1), width)
+            labels = _merge_counters(labels.reshape(2, -1), width, np.min_scalar_type(2 << k))
         except CounterOverflowError as exc:
             report.notes.append(f"counter overflow: {exc}")
             return
         report.applications_used += 1
 
-    report.count = int(labels[0])  # read out with probability 1 - (dropped residues)
+    report.count = int(labels[0])
     report.succeeded = True

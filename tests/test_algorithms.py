@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -18,7 +19,15 @@ from nlqsim.algorithms import (
     run_algorithm2_count,
     table_merge_gate,
 )
-from nlqsim.gates import H_GATE, StretchMap, build_N
+from nlqsim.gates import (
+    H_GATE,
+    BlochAngle,
+    StretchMap,
+    bloch_distance,
+    build_N,
+    rotation,
+    state_bloch,
+)
 from nlqsim.oracle import (
     OracleSpec,
     TruthTableOracle,
@@ -32,12 +41,13 @@ from nlqsim.statevector import (
     apply_1q_unitary,
     apply_hadamard_layer,
     block_rows,
+    conditional_qubit_state,
     make_rng,
     measure_qubits,
     new_basis_state,
     probability_of_pattern,
 )
-from nlqsim.weinberg import apply_conditional_subspace_map
+from nlqsim.weinberg import apply_conditional_subspace_map, lift_pairs
 
 
 def spec_for(n, solutions):
@@ -330,6 +340,177 @@ def test_algorithm1_budgets_must_be_positive():
     assert not report.succeeded and report.decision is None
 
 
+def test_algorithm1_empty_oracle_separation_is_exactly_zero():
+    # the angle state and its reference take the same arithmetic, so an
+    # empty oracle never leaves the reference (the complex pair's acos
+    # distance read 2**-26 = acos(1 - 2**-53) on some steps)
+    for n in range(1, 13):
+        for seed in range(3):
+            report = run_algorithm1(Alg1Config(n=n, oracle=spec_for(n, ()), seed=seed))
+            assert report.decision == "no-solution"
+            assert len(report.separation_trajectory) > 1
+            assert all(sep == 0.0 for _, sep in report.separation_trajectory), (n, seed)
+
+
+# -- alg1 on its signed meridian angle against the complex-pair loop ----------
+#
+# The reference below is the amplitude loop the drivers ran before they
+# carried one angle: the post-selected pair is rotated by a 2 x 2 matrix,
+# stretched through the one-row branch lift, measured as a one-qubit
+# register and compared with its reference by a great-circle acos.
+
+
+def _pair_rotate(pair, bloch_delta, noise):
+    r = rotation(-noise.perturb(bloch_delta / 2.0))
+    c1, c2 = pair
+    return (r[0, 0] * c1 + r[0, 1] * c2, r[1, 0] * c1 + r[1, 1] * c2)
+
+
+def _pair_stretch(pair, m):
+    row = lift_pairs(np.array([pair], dtype=np.complex128), m)[0]
+    return complex(row[0]), complex(row[1])
+
+
+def _pair_distance(pair, ref):
+    return bloch_distance(state_bloch(*pair), BlochAngle(ref, 0.0))
+
+
+def _pair_read_flag(pair, rng):
+    record, _ = measure_qubits(StateVector(1, np.array(pair)), [0], rng)
+    return record.outcome_bits
+
+
+def _pair_prepare(n, oracle, rng, max_trials):
+    trials = 0
+    while trials < max_trials:
+        trials += 1
+        state = apply_hadamard_layer(new_basis_state(n + 1, 0), range(n))
+        state = apply_oracle(state, range(n), n, oracle)
+        state = apply_hadamard_layer(state, range(n))
+        record, state = measure_qubits(state, range(n), rng)
+        if record.outcome_bits == 0:
+            _, c0, c1 = conditional_qubit_state(state, n, 0)
+            return (c0, c1), trials
+    return None, trials
+
+
+def pair_algorithm1(cfg):
+    """run_algorithm1 on the complex flag pair; returns (report, rng)."""
+    m, rng = cfg.stretch, make_rng(cfg.seed)
+    noise, report = NoiseModel(cfg.noise_sigma, rng), RunReport()
+    calls_before = cfg.oracle.call_counter
+    pair, report.trials_used = _pair_prepare(cfg.n, cfg.oracle, rng, cfg.trial_budget())
+    report.oracle_calls = cfg.oracle.call_counter - calls_before
+    if pair is None:
+        report.notes.append("trial budget exhausted before the zero pattern was seen")
+        return report, rng
+    if report.trials_used > 1:
+        report.notes.append("oracle re-called on failed trials")
+    report.post_measurement_flag_amplitude = float(abs(pair[1]))
+    theta_edge = m.theta0 - m.eta / 2.0
+    pair = _pair_rotate(pair, theta_edge, noise)
+    ref = theta_edge
+    amplify_cap = math.ceil(math.log2((m.eta / 2.0) / flag_theta(cfg.n, 1))) + 2
+    traj = report.separation_trajectory
+    crossed_at = None
+    while True:
+        apps = report.applications_used
+        theta_act = state_bloch(*pair).theta
+        traj.append((apps, _pair_distance(pair, ref)))
+        if crossed_at is None and theta_act > cfg.decision_threshold * math.pi:
+            report.applications_to_threshold = crossed_at = apps
+        if crossed_at is not None and theta_act >= m.theta0 + m.eta / 4.0:
+            break
+        if (crossed_at is None and apps >= amplify_cap) or apps >= cfg.max_applications:
+            break
+        pair = _pair_stretch(pair, m.jittered(noise))
+        pair = _pair_rotate(pair, ref - m.polar_map(ref), noise)
+        report.applications_used += 1
+    while True:
+        theta_act = state_bloch(*pair).theta
+        resolved = ref <= algorithms.RESOLVE_MARGIN and (
+            crossed_at is None or theta_act >= math.pi - algorithms.RESOLVE_MARGIN)
+        if resolved or report.applications_used >= cfg.max_applications:
+            break
+        pair = _pair_stretch(pair, m.jittered(noise))
+        ref = float(m.polar_map(ref))
+        report.applications_used += 1
+        traj.append((report.applications_used, _pair_distance(pair, ref)))
+    if not resolved:
+        report.notes.append("application budget exhausted before full resolution")
+        return report, rng
+    report.decision = "solution-exists" if _pair_read_flag(pair, rng) == 1 else "no-solution"
+    report.succeeded = True
+    return report, rng
+
+
+def pair_algorithm1_count(cfg):
+    """run_algorithm1_count on the complex flag pair; returns (report, rng)."""
+    m, rng = cfg.stretch, make_rng(cfg.seed)
+    noise, report = NoiseModel(cfg.noise_sigma, rng), RunReport()
+    calls_before = cfg.oracle.call_counter
+    lo, hi, rounds = 0, 1 << cfg.n, 0
+    margin = algorithms.RESOLVE_MARGIN
+    while lo < hi:
+        rounds += 1
+        mid = (lo + hi) // 2
+        pair, trials = _pair_prepare(cfg.n, cfg.oracle, rng, cfg.trial_budget())
+        report.trials_used += trials
+        report.oracle_calls = cfg.oracle.call_counter - calls_before
+        if pair is None:
+            report.notes.append(f"trial budget exhausted in round {rounds}")
+            return report, rng
+        th_lo, th_hi = flag_theta(cfg.n, mid), flag_theta(cfg.n, mid + 1)
+        delta = m.theta0 - 0.5 * (th_lo + th_hi)
+        pair = _pair_rotate(pair, delta, noise)
+        ref_lo, ref_hi = th_lo + delta, th_hi + delta
+        apps = 0
+        while not (ref_lo <= margin and ref_hi >= math.pi - margin):
+            if apps >= cfg.max_applications:
+                report.notes.append(f"application budget exhausted in round {rounds}")
+                return report, rng
+            pair = _pair_stretch(pair, m.jittered(noise))
+            ref_lo, ref_hi = float(m.polar_map(ref_lo)), float(m.polar_map(ref_hi))
+            apps += 1
+            report.applications_used += 1
+            report.separation_trajectory.append((report.applications_used, ref_hi - ref_lo))
+        if _pair_read_flag(pair, rng) == 1:
+            lo = mid + 1
+        else:
+            hi = mid
+    report.count = lo
+    report.notes.append(f"{rounds} bisection rounds")
+    report.succeeded = True
+    return report, rng
+
+
+@pytest.mark.parametrize("run, reference", [(run_algorithm1, pair_algorithm1),
+                                            (run_algorithm1_count, pair_algorithm1_count)],
+                         ids=["solve", "count"])
+def test_meridian_angle_drivers_match_the_complex_pair_loop(monkeypatch, run, reference):
+    rng = make_rng(606)
+    for n in (2, 3, 5, 8):
+        for s in range(4):
+            for sigma, seed in itertools.product((0.0, 1e-3, 3e-2), range(3)):
+                tt = random_oracle(n, s, rng)
+                cfg = Alg1Config(n=n, oracle=OracleSpec(tt), noise_sigma=sigma, seed=seed)
+                got, got_rng = run_keeping_rng(monkeypatch, run, cfg)
+                want, want_rng = reference(replace(cfg, oracle=OracleSpec(tt)))
+                case = (n, s, sigma, seed)
+                for key in ("decision", "count", "trials_used", "applications_used",
+                            "applications_to_threshold", "oracle_calls", "succeeded", "notes"):
+                    assert getattr(got, key) == getattr(want, key), (key, case)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state, case
+                if want.post_measurement_flag_amplitude is not None:
+                    assert got.post_measurement_flag_amplitude == pytest.approx(
+                        want.post_measurement_flag_amplitude, rel=0.0, abs=1e-15), case
+                assert [k for k, _ in got.separation_trajectory] == [
+                    k for k, _ in want.separation_trajectory], case
+                # 2e-8 is the reference's acos floor, acos(1 - 2**-53) = 2**-26
+                for (_, a), (_, b) in zip(got.separation_trajectory, want.separation_trajectory):
+                    assert abs(a - b) <= 2e-8, case
+
+
 # -- shrinking cascades against full-register references --------------------
 #
 # The references below run alg2 on full registers: the decision keeps every
@@ -441,8 +622,8 @@ def dense_algorithm2_count(cfg):
     return report
 
 
-def shrunk_algorithm2(monkeypatch, cfg):
-    """run_algorithm2 with its random source kept: returns (report, rng)."""
+def run_keeping_rng(monkeypatch, run, cfg):
+    """A driver run with its random source kept: returns (report, rng)."""
     made = []
 
     def keep(seed):
@@ -450,7 +631,12 @@ def shrunk_algorithm2(monkeypatch, cfg):
         return made[-1]
 
     monkeypatch.setattr(algorithms, "make_rng", keep)
-    return run_algorithm2(cfg), made[0]
+    return run(cfg), made[0]
+
+
+def shrunk_algorithm2(monkeypatch, cfg):
+    """run_algorithm2 with its random source kept: returns (report, rng)."""
+    return run_keeping_rng(monkeypatch, run_algorithm2, cfg)
 
 
 def decision_cases():
@@ -578,20 +764,6 @@ def test_labelled_counting_reaches_n14():
         assert report.succeeded
         assert report.count == count_solutions_bruteforce(tt) == s
         assert report.oracle_calls == 1
-    with pytest.raises(ValueError, match="capped at n = 20"):
-        run_algorithm2_count(Alg2Config(n=21, oracle=spec_for(21, ()), counting=True))
+    with pytest.raises(ValueError, match="capped at n = 24"):
+        run_algorithm2_count(Alg2Config(n=25, oracle=spec_for(25, ()), counting=True))
 
-
-def test_labelled_counting_refuses_a_swept_qubit_off_plus(monkeypatch):
-    # the cascade drops a swept qubit only as an exact |+>; unequal branch
-    # amplitudes stop the run instead of being folded away
-    def tilted(state, qubits):
-        amps = np.linspace(1.0, 2.0, state.dim)
-        return StateVector(state.num_qubits, amps / np.linalg.norm(amps))
-
-    monkeypatch.setattr(algorithms, "apply_hadamard_layer", tilted)
-    report = run_algorithm2_count(Alg2Config(n=3, oracle=spec_for(3, (1,)), counting=True))
-    assert not report.succeeded and report.count is None
-    assert report.oracle_calls == report.trials_used == 1
-    assert report.applications_used == 0  # stopped before the first merge
-    assert len(report.notes) == 1 and report.notes[0].startswith("index qubit 0 left |+> by residue")

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from nlqsim.algorithms import NoiseModel, _stretch_pair
+from nlqsim.algorithms import NoiseModel, _read_flag, _stretch_pair
 from nlqsim.gates import (
     FOLD_UNITARY,
     H_GATE,
@@ -397,18 +397,34 @@ def test_lift_pairs_writes_through_a_row_view():
     assert rows.reshape(-1, 2).tobytes() == want.tobytes()
 
 
-def test_stretch_pair_is_bitwise_the_one_qubit_register_lift():
+def test_stretch_pair_angle_is_the_one_qubit_register_lift():
+    # alg1's flag pair is real, (cos(phi/2), sin(phi/2)) for a signed
+    # meridian angle phi in [-pi, pi]; the angle map must land on the side
+    # and at the polar angle of the lifted pair
     rng = make_rng(343)
     noise = NoiseModel(1e-3, make_rng(344))
-    pairs = [(1 + 0j, 0j), (0j, 1 + 0j), (0j, -1j)]
-    pairs += [tuple(random_state(rng, 1).amplitudes) for _ in range(40)]
-    for pair in pairs:
-        for m in (StretchMap(), StretchMap().jittered(noise)):
-            sv = apply_conditional_nonlinear(StateVector(1, np.array(pair)), 0, m)
-            want = (complex(sv.amplitudes[0]), complex(sv.amplitudes[1]))
-            got = _stretch_pair(pair, m)
-            assert all(type(c) is complex for c in got)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+    phis = [0.0, math.pi, -math.pi] + list(rng.uniform(-math.pi, math.pi, 60))
+    for phi in phis:
+        pair = np.array([math.cos(phi / 2.0), math.sin(phi / 2.0)], dtype=np.complex128)
+        for m in (StretchMap(), StretchMap().jittered(noise), StretchMap().jittered(noise)):
+            sv = apply_conditional_nonlinear(StateVector(1, pair.copy()), 0, m)
+            a0, a1 = sv.amplitudes
+            got = _stretch_pair(phi, m)
+            assert type(got) is float
+            assert math.copysign(1.0, got) == math.copysign(1.0, a1.real), phi
+            assert abs(abs(got) - 2.0 * math.atan2(abs(a1), abs(a0))) <= 1e-15, phi
+
+
+def test_read_flag_is_the_one_qubit_measurement():
+    # one uniform draw, and the outcome the Born-rule sample of the pair takes
+    rng = make_rng(345)
+    phis = [0.0, math.pi, -math.pi] + list(rng.uniform(-math.pi, math.pi, 200))
+    for seed, phi in enumerate(phis):
+        pair = np.array([math.cos(phi / 2.0), math.sin(phi / 2.0)], dtype=np.complex128)
+        got_rng, want_rng = make_rng(seed), make_rng(seed)
+        record, _ = measure_qubits(StateVector(1, pair), [0], want_rng)
+        assert _read_flag(phi, got_rng) == record.outcome_bits, phi
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n, qs", [(1, [0]), (4, [0, 1, 2]), (5, [4, 1]), (6, [2]), (7, range(7))])

@@ -5,6 +5,7 @@ the bytes of one dense 20-qubit complex128 register.
 """
 
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -73,7 +74,7 @@ def test_a_huge_truth_table_is_refused_without_a_2_to_the_n_integer(capsys, tmp_
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert "capped at n = 20:" in captured.err
+    assert "capped at n = 24:" in captured.err
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -90,12 +91,16 @@ def test_pair_merge_runs_at_19():
     assert report.oracle_calls == 1
 
 
-def test_counting_cascade_runs_at_20():
-    sols = (0, 5, 1 << 19, (1 << 20) - 1)
-    cfg = Alg2Config(n=20, oracle=OracleSpec(TruthTableOracle(20, sols)), counting=True)
+def test_counting_cascade_runs_at_24():
+    # the largest array is the query's 2**24 booleans: no amplitude register
+    sols = (0, 5, 1 << 23, (1 << 24) - 1)
+    cfg = Alg2Config(n=24, oracle=OracleSpec(TruthTableOracle(24, sols)), counting=True)
+    start = time.perf_counter()
     report = run_algorithm2_count(cfg)
+    assert time.perf_counter() - start < 0.5
     assert report.succeeded and report.count == 4
-    assert report.oracle_calls == 1
+    assert report.oracle_calls == report.trials_used == 1
+    assert report.applications_used == 24
 
 
 @pytest.mark.parametrize("command, n, cap", [
@@ -103,7 +108,7 @@ def test_counting_cascade_runs_at_20():
     (["count", "--algorithm", "alg1"], 20, 19),
     (["separation"], 20, 19),
     (["solve", "--algorithm", "alg2"], 20, 19),
-    (["count", "--algorithm", "alg2"], 21, 20),
+    (["count", "--algorithm", "alg2"], 25, 24),
 ])
 def test_drivers_refuse_one_above_their_cap_on_the_cli(capsys, tmp_path, command, n, cap):
     path = tmp_path / f"tt{n}.json"
